@@ -13,6 +13,12 @@
 /// open-addressing hash set for dedup plus a dense array of the unique words
 /// for iteration, serialization, and cross-set intersection.
 ///
+/// The hash table is built lazily, on the first insert. A set decoded from
+/// the wire (assignSortedKeys) arrives as an ascending word array and is
+/// queried by binary search until something inserts into it, so the
+/// parent's decode path never rehashes the ~thousands of words a child
+/// ships; an empty set allocates nothing.
+///
 /// Addresses are tracked at 8-byte word granularity; instrumenting a range
 /// inserts every word it covers, matching the paper's allocation-granularity
 /// instrumentation where whole objects (and whole array ranges indexed by an
@@ -77,7 +83,7 @@ struct BloomSummary {
 /// A deduplicated set of 8-byte memory words touched by one transaction.
 class AccessSet {
 public:
-  AccessSet();
+  AccessSet() = default;
 
   /// Converts a byte address to its word key.
   static uintptr_t wordKey(const void *Addr) {
@@ -116,16 +122,21 @@ public:
   /// read-set-hungry policies.
   size_t memoryFootprintBytes() const;
 
-  /// Dense array of the unique word keys, in insertion order — the paper's
-  /// "global array" view used for cross-process conflict checks.
+  /// Dense array of the unique word keys, in insertion order (ascending for
+  /// a set built by assignSortedKeys) — the paper's "global array" view
+  /// used for cross-process conflict checks.
   const std::vector<uintptr_t> &words() const { return Words; }
 
   /// Removes all words, keeping capacity.
   void clear();
 
-  /// Serializes to a flat word vector (the wire format used by the fork
-  /// executor); deserialization is bulk insertion.
+  /// Inserts each of \p Keys (bulk insertion).
   void insertWords(const uintptr_t *Keys, size_t Count);
+
+  /// Replaces the contents with \p Keys, which must be strictly ascending
+  /// and free of word key 0 (the wire decoder checks both). No hash table
+  /// is built: lookups binary-search the array until the next insert.
+  void assignSortedKeys(std::vector<uintptr_t> &&Keys);
 
   /// Bloom summary of every word inserted so far, maintained incrementally.
   /// Deterministic: depends only on the set of keys, not insertion order.
@@ -135,6 +146,7 @@ private:
   bool insertKey(uintptr_t Key);
   bool containsKey(uintptr_t Key) const;
   void grow();
+  void rehash(size_t Capacity);
 
   static uint64_t hashKey(uintptr_t Key) {
     uint64_t X = static_cast<uint64_t>(Key);
@@ -151,6 +163,8 @@ private:
   /// 8 bytes of the address space), so 0 serves as the empty marker.
   static constexpr uintptr_t EmptyKey = 0;
 
+  /// Empty until the first insert; while empty, Words is strictly
+  /// ascending and containsKey binary-searches it.
   std::vector<uintptr_t> Table;
   std::vector<uintptr_t> Words;
   size_t Mask = 0;

@@ -5,18 +5,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The executor interface and shared configuration. Three engines implement
+/// The executor interface and shared configuration. Five engines implement
 /// it:
 ///
-///  - SequentialExecutor: reference execution (and dependence probing).
+///  - SequentialExecutor: reference execution (DependenceProbeExecutor
+///    adds dependence probing).
 ///  - LockstepExecutor: in-process deterministic engine running ALTER's
-///    full transaction protocol with a modeled parallel clock (DESIGN.md
-///    §2's substitution for multicore hardware).
+///    full transaction protocol with a modeled parallel clock (the paper
+///    comparison view of DESIGN.md §2).
 ///  - ForkJoinExecutor: the paper's process-based fork–join engine using
-///    real fork() isolation and pipe-shipped commits.
+///    real fork() isolation, round by round.
+///  - PipelineExecutor: the same process isolation with a continuous chunk
+///    feed: each child validates against exactly the commits that retired
+///    after its fork.
+///  - StagePipelineExecutor: PS-DSWP stage pipelining, the sequential stage
+///    in the parent and parallel-stage replicas in children.
 ///
-/// All engines are deterministic: output depends only on (program input,
-/// NumWorkers, chunk factor, runtime parameters) — paper §4.3.
+/// The fork engines ship commits over the pipe or the warm pool's rings
+/// (WorkerPool.h). The sequential, lock-step and fork–join engines are
+/// deterministic: output depends only on (program input, NumWorkers, chunk
+/// factor, runtime parameters) — paper §4.3. The pipelined engines retire
+/// OutOfOrder chunks in arrival order, so they promise the §4.3 theorems'
+/// equivalence rather than one fixed schedule.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -313,6 +313,12 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
         }
       if (Pfds.empty())
         break;
+      // Watch the template too: a warm child's terminal doorbell comes
+      // from the template, so its death must be noticed here (see
+      // WorkerPool::livenessFd).
+      const int LivenessFd = Pool ? Pool->livenessFd() : -1;
+      if (LivenessFd >= 0)
+        Pfds.push_back({LivenessFd, 0, 0});
       int TimeoutMs = -1;
       if (RealDeadline != 0) {
         const uint64_t Now = nowNs();
@@ -343,7 +349,9 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
         RealDeadline = 0;
         continue;
       }
-      for (size_t I = 0; I != Pfds.size(); ++I) {
+      if (LivenessFd >= 0 && (Pfds.back().revents & (POLLERR | POLLHUP)))
+        Pool->failTemplate(); // rings the abnormal doorbells polled next
+      for (size_t I = 0; I != PfdSlot.size(); ++I) {
         if (!(Pfds[I].revents & (POLLIN | POLLHUP | POLLERR)))
           continue;
         pumpChunkChannel(Pool.get(), PfdSlot[I], Slots[PfdSlot[I]].Ch);

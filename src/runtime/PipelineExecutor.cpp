@@ -666,6 +666,13 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
       FdSlots.push_back(I);
     }
 
+    // Watch the template too: a warm child's terminal doorbell comes from
+    // the template, so its death must be noticed here (see
+    // WorkerPool::livenessFd).
+    const int LivenessFd = Pool && !Fds.empty() ? Pool->livenessFd() : -1;
+    if (LivenessFd >= 0)
+      Fds.push_back({LivenessFd, 0, 0});
+
     if (Fds.empty()) {
       // Every launch attempt failed this iteration (transient fork/pipe
       // exhaustion): back off briefly instead of spinning, then retry.
@@ -706,7 +713,11 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
         return Result;
       }
 
-      for (size_t F = 0; F != Fds.size(); ++F) {
+      // Before any completion can spawn: a respawned template would reuse
+      // the dead one's descriptor number.
+      if (LivenessFd >= 0 && (Fds.back().revents & (POLLERR | POLLHUP)))
+        Pool->failTemplate(); // rings the abnormal doorbells polled next
+      for (size_t F = 0; F != FdSlots.size(); ++F) {
         if (!(Fds[F].revents & (POLLIN | POLLHUP | POLLERR)))
           continue;
         Slot &S = Slots[FdSlots[F]];

@@ -32,8 +32,8 @@
 /// (ChunkFaultRetryLimit), so sticky faults degrade through the ladder
 /// exactly like a chunked child.
 ///
-/// Clocks: the protocol executes for real, but this host is a single CPU,
-/// so — like the Lockstep engine — Stats.SimTimeNs is a modeled pipeline
+/// Clocks: the protocol executes for real, and — like the Lockstep engine —
+/// Stats.SimTimeNs is a modeled pipeline
 /// makespan built from per-chunk measured stage times (sequential lane,
 /// replica lanes, dispatch and commit costs from the CostModel), while
 /// Stats.RealTimeNs stays real. The 10x-sequential deadline applies to the

@@ -145,23 +145,50 @@ void sleepNs(uint64_t Ns) {
     ;
 }
 
+/// Slicing-by-8 tables for the reflected IEEE polynomial: T[0] is the
+/// classic bytewise table, T[K][B] the CRC of byte B followed by K zero
+/// bytes. Built at compile time, so there is no first-use race.
+struct Crc32Tables {
+  uint32_t T[8][256] = {};
+};
+
+constexpr Crc32Tables makeCrc32Tables() {
+  Crc32Tables Tab;
+  for (uint32_t I = 0; I != 256; ++I) {
+    uint32_t C = I;
+    for (int K = 0; K != 8; ++K)
+      C = (C & 1) ? 0xedb88320u ^ (C >> 1) : C >> 1;
+    Tab.T[0][I] = C;
+  }
+  for (int K = 1; K != 8; ++K)
+    for (uint32_t I = 0; I != 256; ++I)
+      Tab.T[K][I] = (Tab.T[K - 1][I] >> 8) ^ Tab.T[0][Tab.T[K - 1][I] & 0xff];
+  return Tab;
+}
+
+constexpr Crc32Tables Crc32 = makeCrc32Tables();
+
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "wireCrc32 folds 8-byte words in little-endian order");
+
 } // namespace
 
 uint32_t alter::wireCrc32(const uint8_t *Data, size_t Size) {
-  static uint32_t Table[256];
-  static bool Initialized = false;
-  if (!Initialized) {
-    for (uint32_t I = 0; I != 256; ++I) {
-      uint32_t C = I;
-      for (int K = 0; K != 8; ++K)
-        C = (C & 1) ? 0xedb88320u ^ (C >> 1) : C >> 1;
-      Table[I] = C;
-    }
-    Initialized = true;
-  }
+  const auto &T = Crc32.T;
   uint32_t Crc = 0xffffffffu;
-  for (size_t I = 0; I != Size; ++I)
-    Crc = Table[(Crc ^ Data[I]) & 0xff] ^ (Crc >> 8);
+  // Eight bytes per step: fold the running CRC into the low word, then
+  // look each byte up in the table for its distance from the end.
+  for (; Size >= 8; Data += 8, Size -= 8) {
+    uint64_t Word;
+    std::memcpy(&Word, Data, sizeof(Word));
+    const uint32_t Lo = static_cast<uint32_t>(Word) ^ Crc;
+    const uint32_t Hi = static_cast<uint32_t>(Word >> 32);
+    Crc = T[7][Lo & 0xff] ^ T[6][(Lo >> 8) & 0xff] ^ T[5][(Lo >> 16) & 0xff] ^
+          T[4][Lo >> 24] ^ T[3][Hi & 0xff] ^ T[2][(Hi >> 8) & 0xff] ^
+          T[1][(Hi >> 16) & 0xff] ^ T[0][Hi >> 24];
+  }
+  for (; Size != 0; ++Data, --Size)
+    Crc = T[0][(Crc ^ *Data) & 0xff] ^ (Crc >> 8);
   return Crc ^ 0xffffffffu;
 }
 
@@ -239,25 +266,30 @@ bool alter::deserializeAccessSet(const uint8_t *Data, size_t Size,
   // run count against the physical encoding size (each run is >= 2 bytes).
   if (Count > MaxWireSetWords || NumRuns > Size / 2 + 1 || NumRuns > Count)
     return false;
-  uint64_t Decoded = 0;
+  // The runs are ascending and disjoint by construction (each gap counts
+  // from the previous run's end), so they decode straight into the set's
+  // sorted array; the set builds a hash table only if something inserts.
+  std::vector<uintptr_t> Keys;
+  Keys.reserve(static_cast<size_t>(Count));
   uint64_t PrevEnd = 0;
   for (uint64_t Run = 0; Run != NumRuns; ++Run) {
     const uint64_t Gap = R.varint();
     const uint64_t Len = R.varint() + 1;
-    if (R.failed())
+    if (R.failed() || Len == 0)
       return false;
     const uint64_t Base = PrevEnd + Gap;
-    if (Decoded + Len < Len || Decoded + Len > Count)
+    // Word key 0 is the access set's empty marker, never a real access;
+    // a base or run end that wraps past 2^64 is corruption too.
+    if (Base == 0 || Base < PrevEnd || Base + Len < Base ||
+        Len > Count - Keys.size())
       return false;
-    for (uint64_t K = 0; K != Len; ++K) {
-      const uintptr_t Key = static_cast<uintptr_t>(Base + K);
-      Set.insertWords(&Key, 1);
-    }
-    Decoded += Len;
+    for (uint64_t K = 0; K != Len; ++K)
+      Keys.push_back(static_cast<uintptr_t>(Base + K));
     PrevEnd = Base + Len;
   }
-  if (Decoded != Count)
+  if (Keys.size() != Count)
     return false;
+  Set.assignSortedKeys(std::move(Keys));
   Consumed = R.position();
   return true;
 }

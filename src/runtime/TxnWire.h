@@ -183,8 +183,10 @@ bool decodeChildReport(const std::vector<uint8_t> &Bytes,
 /// runs). Exposed for tests and size accounting.
 void serializeAccessSet(std::vector<uint8_t> &Out, const AccessSet &Set);
 
-/// Inverse of serializeAccessSet; \p Consumed receives the encoded length.
-/// Returns false on corrupt input (the set may be partially filled).
+/// Inverse of serializeAccessSet: replaces \p Set's contents with the
+/// decoded words (ascending, no hash table built); \p Consumed receives the
+/// encoded length. Returns false on corrupt input — including word key 0
+/// and runs that wrap past 2^64 — leaving \p Set unchanged.
 bool deserializeAccessSet(const uint8_t *Data, size_t Size, AccessSet &Set,
                           size_t &Consumed);
 

@@ -47,6 +47,12 @@ enum : uint8_t {
 
 constexpr size_t CmdHeaderBytes = 1 + sizeof(uint64_t);
 
+/// Buffered OpApply commands are written once they reach this size even
+/// with no fork pending, so a long fork-free stretch neither grows the
+/// parent's batch without bound nor leaves the template a huge backlog to
+/// replay at the next fork.
+constexpr size_t ApplyBatchFlushBytes = 64 << 10;
+
 struct ForkCmd {
   uint64_t Slot;
   uint64_t Attempt;
@@ -228,10 +234,21 @@ bool WorkerPool::anyInFlight() const {
   return false;
 }
 
-bool WorkerPool::sendAll(const void *Data, size_t Size) {
+bool WorkerPool::sendCommand(uint8_t Op, const void *Payload, size_t Size) {
   if (ControlFd < 0)
     return false;
-  if (writeAllRetry(ControlFd, Data, Size))
+  // The command rides behind the buffered commits, in one write: a Fork
+  // sees exactly the commits pushed before it, as if each had been sent
+  // on its own.
+  appendCmdHeader(Batch, Op, Size);
+  appendRaw(Batch, Payload, Size);
+  return flushBatch();
+}
+
+bool WorkerPool::flushBatch() {
+  const bool Ok = writeAllRetry(ControlFd, Batch.data(), Batch.size());
+  Batch.clear();
+  if (Ok)
     return true;
   // The template is gone (EPIPE) or wedged: retire it hard so the caller
   // degrades to cold forks and the next warm fork respawns cleanly.
@@ -252,6 +269,7 @@ void WorkerPool::killTemplateHard() {
     ::close(ControlFd);
   ControlFd = -1;
   TemplatePid = -1;
+  Batch.clear(); // the respawn forks from the parent: already current
   // The template's in-flight children died with it (PDEATHSIG) and nothing
   // is left to reap them, so their terminal doorbells would never ring and
   // the executor would wait on those channels forever. Ring them on the
@@ -373,6 +391,7 @@ void WorkerPool::retireTemplate() {
   // children and exit; it is quiescent otherwise, so this is prompt.
   ::close(ControlFd);
   ControlFd = -1;
+  Batch.clear();
   int Status = 0;
   ChildRusage Usage;
   if (waitpidRusage(TemplatePid, &Status, &Usage) > 0)
@@ -413,11 +432,8 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   // has written (or the kill handler writes) the terminal doorbell this
   // wait consumes.
   if (S.Used && !S.TerminalSeen && !S.RecordDone) {
-    KillCmd Kill{Slot};
-    std::vector<uint8_t> Cmd;
-    appendCmdHeader(Cmd, OpKill, sizeof(Kill));
-    appendRaw(Cmd, &Kill, sizeof(Kill));
-    if (!sendAll(Cmd.data(), Cmd.size()))
+    const KillCmd Kill{Slot};
+    if (!sendCommand(OpKill, &Kill, sizeof(Kill)))
       return false;
     const uint64_t Deadline = nowNs() + 5'000'000'000ULL;
     while (!S.TerminalSeen) {
@@ -558,11 +574,8 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   }
 
   S.Attempt = (S.Attempt + 1) & RingDoorbellTagMask;
-  ForkCmd Fork{Slot, S.Attempt, Chunk, First, Last, Fault};
-  std::vector<uint8_t> Cmd;
-  appendCmdHeader(Cmd, OpFork, sizeof(Fork));
-  appendRaw(Cmd, &Fork, sizeof(Fork));
-  if (!sendAll(Cmd.data(), Cmd.size()))
+  const ForkCmd Fork{Slot, S.Attempt, Chunk, First, Last, Fault};
+  if (!sendCommand(OpFork, &Fork, sizeof(Fork)))
     return false;
 
   S.Used = true;
@@ -591,27 +604,31 @@ void WorkerPool::pushCommit(unsigned Worker, int64_t Chunk,
   }
   if (TemplatePid < 0)
     return; // parent state is authoritative; the respawn resyncs wholesale
-  std::vector<uint8_t> LogBuf;
-  Rep.Log.serializeCompact(LogBuf);
+  // Append the Apply command to the batch, serializing the log in place
+  // and patching the two length fields once its size is known.
   ApplyCmdHeader Hdr;
   Hdr.Worker = Worker;
   Hdr.BumpOffset = Rep.BumpOffset;
   Hdr.NumSlots = Rep.Slots.size();
-  const uint64_t LogBytes = LogBuf.size();
-  const uint64_t PayloadLen =
-      sizeof(Hdr) + Rep.Slots.size() * sizeof(TxnContext::RedSlotState) +
-      sizeof(LogBytes) + LogBuf.size();
-  std::vector<uint8_t> Cmd;
-  Cmd.reserve(CmdHeaderBytes + static_cast<size_t>(PayloadLen));
-  appendCmdHeader(Cmd, OpApply, PayloadLen);
-  appendRaw(Cmd, &Hdr, sizeof(Hdr));
+  const size_t CmdStart = Batch.size();
+  appendCmdHeader(Batch, OpApply, 0);
+  appendRaw(Batch, &Hdr, sizeof(Hdr));
   if (!Rep.Slots.empty())
-    appendRaw(Cmd, Rep.Slots.data(),
+    appendRaw(Batch, Rep.Slots.data(),
               Rep.Slots.size() * sizeof(TxnContext::RedSlotState));
-  appendRaw(Cmd, &LogBytes, sizeof(LogBytes));
-  appendRaw(Cmd, LogBuf.data(), LogBuf.size());
-  if (sendAll(Cmd.data(), Cmd.size()))
-    ++CommitsSinceSpawn;
+  const size_t LogBytesAt = Batch.size();
+  uint64_t LogBytes = 0; // patched below
+  appendRaw(Batch, &LogBytes, sizeof(LogBytes));
+  Rep.Log.serializeCompact(Batch);
+  LogBytes = Batch.size() - LogBytesAt - sizeof(LogBytes);
+  const uint64_t PayloadLen = Batch.size() - CmdStart - CmdHeaderBytes;
+  std::memcpy(Batch.data() + LogBytesAt, &LogBytes, sizeof(LogBytes));
+  std::memcpy(Batch.data() + CmdStart + 1, &PayloadLen, sizeof(PayloadLen));
+  ++CommitsSinceSpawn;
+  // Only a fork needs the template current, so the batch waits for the
+  // next command unless it has grown large.
+  if (Batch.size() >= ApplyBatchFlushBytes)
+    (void)flushBatch();
 }
 
 bool WorkerPool::pump(unsigned Slot, ChunkChannel &Ch) {
@@ -659,14 +676,11 @@ bool WorkerPool::pump(unsigned Slot, ChunkChannel &Ch) {
 }
 
 void WorkerPool::killSlot(unsigned Slot) {
-  KillCmd Kill{Slot};
-  std::vector<uint8_t> Cmd;
-  appendCmdHeader(Cmd, OpKill, sizeof(Kill));
-  appendRaw(Cmd, &Kill, sizeof(Kill));
-  (void)sendAll(Cmd.data(), Cmd.size());
+  const KillCmd Kill{Slot};
+  (void)sendCommand(OpKill, &Kill, sizeof(Kill));
 }
 
-void WorkerPool::poisonTemplate() {
+void WorkerPool::failTemplate() {
   ++Faults;
   killTemplateHard();
 }
@@ -887,7 +901,7 @@ bool alter::spawnChunkChild(const LoopSpec &Spec,
     // The fault targets the pool, not the chunk: kill the template (the
     // next warm fork respawns it) and run this chunk cold and clean.
     if (Pool)
-      Pool->poisonTemplate();
+      Pool->failTemplate();
     ChildFault = ArmedFault();
     Poisoned = true;
   }

@@ -23,7 +23,12 @@
 ///            FIFO, a Fork command sent after N commits forks a child that
 ///            sees exactly those N commits — the same snapshot a cold fork
 ///            taken at that moment would see, which is why the executors'
-///            SnapshotSeq logic carries over unchanged.
+///            SnapshotSeq logic carries over unchanged. The parent batches
+///            Apply commands and writes them in one go ahead of the next
+///            Fork or Kill (or once 64 KiB are pending), so the template is
+///            brought current only when it is about to fork, and the
+///            parent's commit lane pays no pipe write or template wakeup
+///            per commit.
 ///   Fork   — fork a child for (slot, chunk, range, armed fault). The
 ///            child runs runWireChildRing. If the slot's previous child is
 ///            somehow still unreaped, it is killed and reaped first.
@@ -60,7 +65,10 @@
 /// TemplatePoison) degrades the affected forks to the legacy cold
 /// pipe+fork path — never to a chunk failure. The pool respawns on the
 /// next warm fork; a respawn forks from the parent, whose memory IS
-/// committed state, so it needs no replay catch-up.
+/// committed state, so it needs no replay catch-up (and the pending batch
+/// is dropped). A template that dies while no command is being written is
+/// noticed through livenessFd(), which the engines poll alongside their
+/// chunk channels.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -156,10 +164,13 @@ public:
   bool warmFork(unsigned Slot, int64_t Chunk, int64_t First, int64_t Last,
                 const ArmedFault &Fault, ChunkChannel &Ch);
 
-  /// Streams one validated commit to the template (write log, reduction
+  /// Queues one validated commit for the template (write log, reduction
   /// slots, arena cursor for arena index \p Worker). Call at the exact
   /// point the parent applies the commit itself, before any later fork.
-  /// No-op while the template is down (the respawn resyncs wholesale).
+  /// The commits travel in a batch written ahead of the next control
+  /// command (or once it reaches 64 KiB): the template is brought current
+  /// only when it is about to fork. No-op while the template is down (the
+  /// respawn resyncs wholesale).
   /// \p Chunk identifies the committed chunk: when it matches the chunk
   /// the slot most recently dispatched, the slot's resident child becomes
   /// reuse-eligible — its written-through memory is now committed state.
@@ -177,9 +188,21 @@ public:
   /// doorbell completes the channel through the normal pump path.
   void killSlot(unsigned Slot);
 
-  /// Injected TemplatePoison: kills the current template outright (the
-  /// pending warm fork degrades to cold; the next one respawns).
-  void poisonTemplate();
+  /// Treats the current template as failed: kills it outright, counts a
+  /// pool fault, and rings the abnormal doorbell of every in-flight warm
+  /// chunk (its children die with it) so the engine requeues it. The
+  /// pending warm fork degrades to cold; the next one respawns. Called for
+  /// an injected TemplatePoison, and by the engines when livenessFd()
+  /// reports the template dead.
+  void failTemplate();
+
+  /// Template liveness for the engines' poll loops: the control pipe's
+  /// write end, or -1 while no template is up. Poll it with events 0: the
+  /// kernel reports POLLERR once the template's read end is gone, i.e.
+  /// the template died. Batched commits mean the parent may not write to
+  /// the template for a long time, so this is how a death outside the
+  /// pool's control (killed, crashed) is noticed while chunks are waiting.
+  int livenessFd() const { return ControlFd; }
 
   uint64_t templateRefreshes() const { return Refreshes; }
   uint64_t poolFaults() const { return Faults; }
@@ -222,7 +245,8 @@ private:
   bool ensureTemplate();
   void retireTemplate();
   void killTemplateHard();
-  bool sendAll(const void *Data, size_t Size);
+  bool sendCommand(uint8_t Op, const void *Payload, size_t Size);
+  bool flushBatch();
   bool anyInFlight() const;
   [[noreturn]] void templateMain(int ControlFd);
 
@@ -235,6 +259,10 @@ private:
   pid_t TemplatePid = -1;
   ChildRusage TemplateUsage; // summed over reaped template incarnations
   int ControlFd = -1; // parent's write end of the current template's pipe
+  /// OpApply commands pushed since the last control write. Dropped when
+  /// the template is retired or killed, so it is empty whenever a new one
+  /// is spawned: a template forked from the parent is already current.
+  std::vector<uint8_t> Batch;
   unsigned CommitsSinceSpawn = 0;
   uint64_t Refreshes = 0;
   uint64_t Faults = 0;

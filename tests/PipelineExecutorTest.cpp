@@ -109,6 +109,96 @@ TEST(AccessSetWireTest, ContiguousRangesCompressBelowRaw) {
       << "range-heavy sets must collapse to a few RLE runs";
 }
 
+/// Key sets for the decoded-set parity checks: one long induction-variable
+/// range, scattered single words, and both together.
+std::vector<AccessSet> paritySets(std::vector<double> &Pool) {
+  std::vector<AccessSet> Sets(3);
+  Sets[0].insertRange(&Pool[512], 1024 * sizeof(double));
+  for (size_t I = 0; I < Pool.size(); I += 3 + (I * 13) % 97)
+    Sets[1].insert(&Pool[I]);
+  // Mixed, inserted out of order so words() differs from the decoded array.
+  Sets[2].insertRange(&Pool[3000], 200 * sizeof(double));
+  for (size_t I = Pool.size() - 1; I > 64; I -= 41 + I % 7)
+    Sets[2].insert(&Pool[I]);
+  Sets[2].insertRange(&Pool[10], 30 * sizeof(double));
+  return Sets;
+}
+
+AccessSet wireRoundTrip(const AccessSet &Set) {
+  std::vector<uint8_t> Wire;
+  serializeAccessSet(Wire, Set);
+  AccessSet Back;
+  size_t Consumed = 0;
+  EXPECT_TRUE(deserializeAccessSet(Wire.data(), Wire.size(), Back, Consumed));
+  EXPECT_EQ(Consumed, Wire.size());
+  return Back;
+}
+
+TEST(AccessSetWireTest, DecodedSetsMatchTheOriginal) {
+  std::vector<double> Pool(4096);
+  for (const AccessSet &Set : paritySets(Pool)) {
+    const AccessSet Back = wireRoundTrip(Set);
+    EXPECT_EQ(Back.sizeWords(), Set.sizeWords());
+    EXPECT_EQ(Back.words(), sortedWords(Set))
+        << "a decoded set holds the original's words in ascending order";
+    EXPECT_EQ(std::memcmp(Back.summary().Bits, Set.summary().Bits,
+                          sizeof(Set.summary().Bits)),
+              0);
+  }
+}
+
+TEST(AccessSetWireTest, DecodedSetsAnswerQueriesLikeHashBuiltSets) {
+  // A decoded set has no hash table until something inserts: its lookups
+  // binary-search the sorted array. They must agree with the hash-built
+  // original, with the decoded set on either side of a pair query.
+  std::vector<double> Pool(4096);
+  const std::vector<AccessSet> Sets = paritySets(Pool);
+  for (size_t A = 0; A != Sets.size(); ++A) {
+    const AccessSet Back = wireRoundTrip(Sets[A]);
+    for (size_t I = 0; I != Pool.size(); ++I)
+      ASSERT_EQ(Back.contains(&Pool[I]), Sets[A].contains(&Pool[I]))
+          << "set " << A << ", word " << I;
+    for (size_t B = 0; B != Sets.size(); ++B) {
+      SCOPED_TRACE("sets " + std::to_string(A) + " x " + std::to_string(B));
+      const AccessSet OtherBack = wireRoundTrip(Sets[B]);
+      const uintptr_t Expected = Sets[A].firstCommonWord(Sets[B]);
+      for (const uintptr_t Got :
+           {Back.firstCommonWord(Sets[B]), Sets[B].firstCommonWord(Back),
+            Back.firstCommonWord(OtherBack)}) {
+        // Any shared word is a valid witness; which one depends on the
+        // probing order, so compare presence and membership.
+        EXPECT_EQ(Got != 0, Expected != 0);
+        if (Got != 0) {
+          const void *Addr = reinterpret_cast<const void *>(Got << 3);
+          EXPECT_TRUE(Sets[A].contains(Addr) && Sets[B].contains(Addr));
+        }
+      }
+      EXPECT_EQ(Back.intersects(Sets[B]), Sets[A].intersects(Sets[B]));
+    }
+  }
+}
+
+TEST(AccessSetWireTest, InsertAfterDecodeStillDeduplicates) {
+  std::vector<double> Pool(4096);
+  for (const AccessSet &Set : paritySets(Pool)) {
+    AccessSet Back = wireRoundTrip(Set);
+    const size_t Size = Back.sizeWords();
+    const void *Member = reinterpret_cast<const void *>(Back.words()[0] << 3);
+    EXPECT_FALSE(Back.insert(Member)) << "already decoded";
+    EXPECT_EQ(Back.sizeWords(), Size);
+    size_t Fresh = 0;
+    while (Set.contains(&Pool[Fresh]))
+      ++Fresh;
+    EXPECT_TRUE(Back.insert(&Pool[Fresh]));
+    EXPECT_FALSE(Back.insert(&Pool[Fresh]));
+    EXPECT_EQ(Back.sizeWords(), Size + 1);
+    for (const uintptr_t Key : Set.words())
+      EXPECT_FALSE(Back.insert(reinterpret_cast<const void *>(Key << 3)));
+    EXPECT_EQ(Back.sizeWords(), Size + 1);
+    EXPECT_TRUE(Back.contains(&Pool[Fresh]));
+  }
+}
+
 TEST(WriteLogCompactTest, RoundTripAppliesIdentically) {
   std::vector<uint64_t> Target(64, 0);
   WriteLog Log;
@@ -612,6 +702,33 @@ TEST_P(PipelineWorkload, ValidatesUnderTls) {
   const RunResult R = W->runPipeline(Params, /*NumWorkers=*/2);
   ASSERT_TRUE(R.succeeded()) << R.Detail;
   EXPECT_TRUE(W->validate(RefSig));
+}
+
+TEST_P(PipelineWorkload, ValidatesWhenEveryOtherDispatchForks) {
+  // MaxChildReuse = 1 sends every other chunk through a fresh template
+  // fork, so each of those forks first replays the commits batched since
+  // the previous one: the template must be exactly current at each.
+  auto Ref = makeWorkload(GetParam());
+  Ref->setUp(0);
+  Ref->runSequential();
+  const std::vector<double> RefSig = Ref->outputSignature();
+
+  auto W = makeWorkload(GetParam());
+  W->setUp(0);
+  ExecutorConfig Config;
+  Config.NumWorkers = 3;
+  Config.Params = W->resolveAnnotation(*W->paperAnnotation());
+  Config.Allocator = W->allocator();
+  Config.Transport = TransportKind::Ring;
+  Config.MaxChildReuse = 1;
+  PipelineExecutor Exec(Config);
+  ExecutorLoopRunner Runner(Exec);
+  W->run(Runner);
+  const RunResult &R = Runner.result();
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  EXPECT_TRUE(W->validate(RefSig));
+  EXPECT_GT(R.Stats.WarmForks, R.Stats.ChildReuses)
+      << "template forks must have happened between the reuses";
 }
 
 // Kept to fast loops: one with reductions enabled (kmeans: + reduction),

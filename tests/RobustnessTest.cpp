@@ -39,6 +39,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <sys/mman.h>
 #include <tuple>
 #include <unistd.h>
 
@@ -183,6 +184,34 @@ TEST(WireProtocolTest, Crc32MatchesIeeeReferenceVector) {
   EXPECT_EQ(wireCrc32(nullptr, 0), 0u);
 }
 
+TEST(WireProtocolTest, SlicedCrc32MatchesBytewiseReference) {
+  // The plain one-byte-per-step CRC over the same reflected polynomial:
+  // the sliced implementation must agree with it bit for bit, or wire
+  // frames, STGQ records and journal files would change.
+  const auto Reference = [](const uint8_t *Data, size_t Size) {
+    uint32_t Crc = 0xffffffffu;
+    for (size_t I = 0; I != Size; ++I) {
+      Crc ^= Data[I];
+      for (int K = 0; K != 8; ++K)
+        Crc = (Crc & 1) ? 0xedb88320u ^ (Crc >> 1) : Crc >> 1;
+    }
+    return Crc ^ 0xffffffffu;
+  };
+  std::vector<uint8_t> Buf(1024 + 8);
+  uint64_t X = 0x9e3779b97f4a7c15ULL;
+  for (uint8_t &B : Buf) {
+    X ^= X << 13;
+    X ^= X >> 7;
+    X ^= X << 17;
+    B = static_cast<uint8_t>(X);
+  }
+  for (size_t Align = 0; Align != 8; ++Align)
+    for (size_t Len = 0; Len <= 1024; ++Len)
+      ASSERT_EQ(wireCrc32(Buf.data() + Align, Len),
+                Reference(Buf.data() + Align, Len))
+          << "length " << Len << ", alignment " << Align;
+}
+
 TEST(WireProtocolTest, AccessSetDecodeRejectsEveryTruncation) {
   std::vector<double> Pool(256);
   AccessSet Set;
@@ -217,6 +246,42 @@ TEST(WireProtocolTest, AccessSetDecodeBoundsAllocation) {
   size_t Consumed = 0;
   EXPECT_FALSE(deserializeAccessSet(Evil.data(), Evil.size(), Back,
                                     Consumed));
+}
+
+TEST(WireProtocolTest, AccessSetDecodeRejectsWordKeyZero) {
+  // Word key 0 is the access set's empty marker and no real access: a run
+  // table naming it (count 1, one run, gap 0, length 1) must be rejected,
+  // not inserted.
+  std::vector<uint8_t> Evil(sizeof(BloomSummary().Bits), 0);
+  for (uint64_t V : {1u, 1u, 0u, 0u}) // count, runs, gap, length - 1
+    appendVarint(Evil, V);
+  AccessSet Back;
+  size_t Consumed = 0;
+  EXPECT_FALSE(deserializeAccessSet(Evil.data(), Evil.size(), Back,
+                                    Consumed));
+  EXPECT_TRUE(Back.empty());
+}
+
+TEST(WireProtocolTest, AccessSetDecodeRejectsRunEndWrapAround) {
+  // A run ending past 2^64 would wrap its keys (and the next run's base)
+  // back to small values: reject it.
+  std::vector<uint8_t> Evil(sizeof(BloomSummary().Bits), 0);
+  // Base 2^64-1, length 2.
+  for (uint64_t V : std::initializer_list<uint64_t>{2, 1, ~uint64_t(0), 1})
+    appendVarint(Evil, V);
+  AccessSet Back;
+  size_t Consumed = 0;
+  EXPECT_FALSE(deserializeAccessSet(Evil.data(), Evil.size(), Back,
+                                    Consumed));
+  Evil.resize(sizeof(BloomSummary().Bits));
+  // A run ending exactly at 2^64 keeps its keys in range, but its end
+  // wraps to 0 and the next run's base would follow: reject it too.
+  for (uint64_t V :
+       std::initializer_list<uint64_t>{3, 2, ~uint64_t(0) - 1, 1, 5, 0})
+    appendVarint(Evil, V);
+  EXPECT_FALSE(deserializeAccessSet(Evil.data(), Evil.size(), Back,
+                                    Consumed));
+  EXPECT_TRUE(Back.empty());
 }
 
 TEST(WireProtocolTest, WriteLogCheckedDecodeRejectsHostileHeaders) {
@@ -394,6 +459,19 @@ TEST(FaultPlanTest, WireCorruptionIsDeterministic) {
 //===----------------------------------------------------------------------===
 
 namespace {
+
+/// Live (unreaped) children of this process, per the kernel. Empty when
+/// every forked child — template, resident, stage replica, cold chunk
+/// child — has been reaped.
+std::string liveChildrenOfSelf() {
+  std::ifstream In("/proc/self/task/" + std::to_string(::getpid()) +
+                   "/children");
+  std::string Out((std::istreambuf_iterator<char>(In)),
+                  std::istreambuf_iterator<char>());
+  while (!Out.empty() && (Out.back() == ' ' || Out.back() == '\n'))
+    Out.pop_back();
+  return Out;
+}
 
 const char *engineName(ParallelEngine Engine) {
   return Engine == ParallelEngine::ForkJoin ? "forkjoin" : "pipeline";
@@ -678,6 +756,61 @@ TEST(PoolFaultMatrixTest, TemplatePoisonDegradesToColdAndRespawns) {
     EXPECT_EQ(FaultPlan::global().pendingCount(), 0u);
   }
   FaultPlan::global().clear();
+}
+
+TEST(PoolFaultMatrixTest, TemplateKilledFromAWarmChildRequeuesItsChunks) {
+  // A template that dies without an injected poison — here SIGKILLed by
+  // one of its own warm children, once per run — takes every in-flight
+  // warm child with it, and nobody is left to ring their terminal
+  // doorbells.
+  // Commits are batched, so the parent may not write to the template
+  // again before it waits on those chunks: the engines must notice the
+  // death through the pool's liveness descriptor and requeue them, not
+  // hang. The striking child waits for its own PDEATHSIG, so its chunk
+  // can only complete through that requeue. Cold children (whose parent
+  // is this process) never strike.
+  const pid_t Root = ::getpid();
+  for (ParallelEngine Engine :
+       {ParallelEngine::ForkJoin, ParallelEngine::Pipeline}) {
+    SCOPED_TRACE(engineName(Engine));
+    FaultPlan::global().clear();
+    void *Mem = ::mmap(nullptr, sizeof(int), PROT_READ | PROT_WRITE,
+                       MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    ASSERT_NE(Mem, MAP_FAILED);
+    int *Struck = static_cast<int *>(Mem);
+    *Struck = 0;
+    constexpr int64_t N = 24;
+    std::vector<int64_t> Data(N, -1);
+    LoopSpec Spec;
+    Spec.NumIterations = N;
+    Spec.Body = [&Data, Root, Struck](TxnContext &Ctx, int64_t I) {
+      if (I == 9 && ::getpid() != Root && ::getppid() != Root &&
+          __atomic_exchange_n(Struck, 1, __ATOMIC_SEQ_CST) == 0) {
+        ::kill(::getppid(), SIGKILL);
+        for (;;) // never report: PDEATHSIG ends this child
+          ::pause();
+      }
+      Ctx.store(&Data[static_cast<size_t>(I)], I * 3 + 1);
+    };
+    ExecutorConfig Config;
+    Config.NumWorkers = 2;
+    Config.Params.ChunkFactor = 4;
+    Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
+    Config.Transport = TransportKind::Ring;
+    ::alarm(60); // a missed template death hangs the engine
+    const RunResult R = Engine == ParallelEngine::ForkJoin
+                            ? ForkJoinExecutor(Config).run(Spec)
+                            : PipelineExecutor(Config).run(Spec);
+    ::alarm(0);
+    EXPECT_EQ(__atomic_load_n(Struck, __ATOMIC_SEQ_CST), 1)
+        << "a warm child must have killed the template";
+    ::munmap(Mem, sizeof(int));
+    EXPECT_EQ(R.Status, RunStatus::Success) << R.Detail;
+    for (int64_t I = 0; I != N; ++I)
+      EXPECT_EQ(Data[static_cast<size_t>(I)], I * 3 + 1) << "iteration " << I;
+    EXPECT_GE(R.Stats.PoolFaults, 1u);
+    EXPECT_EQ(liveChildrenOfSelf(), "") << "no child may be leaked";
+  }
 }
 
 TEST(PoolFaultMatrixTest, StickyPoisonRunsEveryForkColdAndStillSucceeds) {
@@ -977,23 +1110,6 @@ TEST(ResourceFaultMatrixTest, StagedSetupFailureFallsBackThroughLadder) {
 //===----------------------------------------------------------------------===
 // Graceful shutdown: every engine winds down to a valid Interrupted result
 //===----------------------------------------------------------------------===
-
-namespace {
-
-/// Live (unreaped) children of this process, per the kernel. Empty when
-/// every forked child — template, resident, stage replica, cold chunk
-/// child — has been reaped.
-std::string liveChildrenOfSelf() {
-  std::ifstream In("/proc/self/task/" + std::to_string(::getpid()) +
-                   "/children");
-  std::string Out((std::istreambuf_iterator<char>(In)),
-                  std::istreambuf_iterator<char>());
-  while (!Out.empty() && (Out.back() == ' ' || Out.back() == '\n'))
-    Out.pop_back();
-  return Out;
-}
-
-} // namespace
 
 TEST(ShutdownTest, SignalStormInterruptsChunkedEnginesWithoutOrphans) {
   // An injected shutdown signal arriving as chunk 2 is about to fork: the
