@@ -99,3 +99,109 @@ void CommitRing::backoff() {
   while (::nanosleep(&Ts, &Ts) != 0 && errno == EINTR)
     ;
 }
+
+//===----------------------------------------------------------------------===
+// CommitStream
+//===----------------------------------------------------------------------===
+
+namespace {
+
+constexpr size_t StreamRecordHeaderBytes = 2 * sizeof(uint64_t);
+
+uint64_t padTo8(uint64_t V) { return (V + 7) & ~uint64_t(7); }
+
+} // namespace
+
+CommitStream::CommitStream(size_t MaxBytes) {
+  const size_t Page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  MapBytes = MaxBytes < Page ? Page : MaxBytes / Page * Page;
+  void *Mem = ::mmap(nullptr, MapBytes, PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (Mem == MAP_FAILED) {
+    alterLogAlways(LogLevel::Warn, "stream",
+                   "event=mmap_fail bytes=%zu errno=%d", MapBytes, errno);
+    MapBytes = 0;
+    return;
+  }
+  Hdr = new (Mem) Header;
+  Hdr->Floor.store(0, std::memory_order_relaxed);
+  Data = static_cast<uint8_t *>(Mem) + sizeof(Header);
+  Cap = MapBytes - sizeof(Header);
+}
+
+CommitStream::~CommitStream() {
+  if (Hdr)
+    ::munmap(Hdr, MapBytes);
+}
+
+void CommitStream::copyIn(uint64_t Pos, const void *Src, size_t Size) {
+  if (Size == 0)
+    return; // an empty piece may carry a null pointer
+  const size_t At = static_cast<size_t>(Pos % Cap);
+  const size_t First = Size < Cap - At ? Size : Cap - At;
+  std::memcpy(Data + At, Src, First);
+  std::memcpy(Data, static_cast<const uint8_t *>(Src) + First, Size - First);
+}
+
+void CommitStream::copyOut(uint64_t Pos, void *Dst, size_t Size) const {
+  if (Size == 0)
+    return;
+  const size_t At = static_cast<size_t>(Pos % Cap);
+  const size_t First = Size < Cap - At ? Size : Cap - At;
+  std::memcpy(Dst, Data + At, First);
+  std::memcpy(static_cast<uint8_t *>(Dst) + First, Data, Size - First);
+}
+
+void CommitStream::append(std::initializer_list<Piece> Pieces) {
+  uint64_t Len = 0;
+  for (const Piece &P : Pieces)
+    Len += P.Size;
+  const uint64_t Start = End.Pos;
+  const uint64_t Stop = Start + StreamRecordHeaderBytes + padTo8(Len);
+  const bool Fits = Stop - Start <= Cap;
+  // Raise the floor BEFORE overwriting anything: a consumer whose copy
+  // picks up any byte written below is then guaranteed to see the new
+  // floor when it re-reads it after the copy (seqlock-style fences).
+  const uint64_t NewFloor = !Fits ? Stop : Stop > Cap ? Stop - Cap : 0;
+  if (NewFloor > Hdr->Floor.load(std::memory_order_relaxed)) {
+    Hdr->Floor.store(NewFloor, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+  }
+  if (Fits) {
+    const uint64_t RecHdr[2] = {End.Seq + 1, Len};
+    copyIn(Start, RecHdr, sizeof(RecHdr));
+    uint64_t Pos = Start + sizeof(RecHdr);
+    for (const Piece &P : Pieces) {
+      copyIn(Pos, P.Data, P.Size);
+      Pos += P.Size;
+    }
+  }
+  End.Pos = Stop;
+  ++End.Seq;
+}
+
+CommitStream::ReadResult
+CommitStream::next(Cursor &C, std::vector<uint8_t> &Payload) const {
+  uint64_t RecHdr[2];
+  copyOut(C.Pos, RecHdr, sizeof(RecHdr));
+  const bool Sane =
+      RecHdr[0] == C.Seq + 1 && RecHdr[1] <= Cap - StreamRecordHeaderBytes;
+  if (Sane) {
+    Payload.resize(static_cast<size_t>(RecHdr[1]));
+    copyOut(C.Pos + sizeof(RecHdr), Payload.data(), Payload.size());
+  }
+  // Only now, after the copy, may the floor vouch for it.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (C.Pos < Hdr->Floor.load(std::memory_order_relaxed))
+    return ReadResult::Overrun;
+  if (!Sane)
+    return ReadResult::Corrupt;
+  C.Pos += StreamRecordHeaderBytes + padTo8(RecHdr[1]);
+  ++C.Seq;
+  return ReadResult::Ok;
+}
+
+void CommitStream::protectReadOnly() {
+  if (Hdr)
+    (void)::mprotect(Hdr, MapBytes, PROT_READ);
+}

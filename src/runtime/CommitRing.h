@@ -29,6 +29,9 @@
 /// consumer drains. The non-blocking pushSome primitive is exposed so
 /// wraparound and full-ring behavior are testable single-threaded.
 ///
+/// CommitStream, below, carries commits the other way: the parent's
+/// validated commits, broadcast to every replica of committed state.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALTER_RUNTIME_COMMITRING_H
@@ -37,6 +40,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 namespace alter {
@@ -145,6 +149,96 @@ private:
   uint8_t *Data = nullptr;
   size_t Cap = 0;
   size_t MapBytes = 0;
+};
+
+/// Single-producer, multi-consumer broadcast of committed write logs in
+/// MAP_SHARED anonymous memory: the parent appends each validated commit as
+/// one sequence-numbered record, and every replica of committed state
+/// forked after the mapping was made (the warm template, the resident ring
+/// children) replays the records after its own Cursor. Consumers hold no
+/// shared state, so the producer never waits for them: it overwrites the
+/// oldest bytes once the stream wraps, first raising a shared *floor* (the
+/// lowest byte offset still intact). A consumer copies a record out, then
+/// re-reads the floor; a floor above the record's offset means the copy
+/// may be torn and the consumer has been lapped (Overrun) — it can never
+/// reach committed state from its memory again and must be replaced by a
+/// fresh fork. The producer can check the same condition for any cursor
+/// it handed out (holds()), so it can avoid dispatching to a lapped
+/// consumer in the first place.
+///
+/// Record layout: u64 sequence number (1-based), u64 payload length, the
+/// payload, zero padding to 8 bytes. A record larger than the whole data
+/// area is never written; the floor just moves past it, so every consumer
+/// that needs it sees an overrun.
+class CommitStream {
+public:
+  /// A consumer's replay position: the byte offset just past the last
+  /// record it applied (free-running, never wrapped), and that record's
+  /// sequence number (0 before the first).
+  struct Cursor {
+    uint64_t Pos = 0;
+    uint64_t Seq = 0;
+  };
+
+  /// One piece of a record's payload (appended back to back).
+  struct Piece {
+    const void *Data;
+    size_t Size;
+  };
+
+  enum class ReadResult { Ok, Overrun, Corrupt };
+
+  /// Maps a stream whose mapping (floor header included) is at most
+  /// \p MaxBytes, rounded down to whole pages, and at least one page. An
+  /// mmap failure leaves valid() false, as for CommitRing.
+  explicit CommitStream(size_t MaxBytes);
+  ~CommitStream();
+
+  CommitStream(const CommitStream &) = delete;
+  CommitStream &operator=(const CommitStream &) = delete;
+
+  bool valid() const { return Hdr != nullptr; }
+
+  /// Data-area size in bytes.
+  size_t capacity() const { return Cap; }
+
+  /// Producer: appends one record made of \p Pieces. Never blocks.
+  void append(std::initializer_list<Piece> Pieces);
+
+  /// Producer: the cursor of a consumer that has applied every record
+  /// appended so far. A process forked from the producer reads its own
+  /// frozen copy, i.e. the end as of the fork.
+  Cursor end() const { return End; }
+
+  /// Producer: true when every record after \p C is still intact, so a
+  /// consumer at \p C can catch up to end().
+  bool holds(const Cursor &C) const {
+    return C.Pos >= Hdr->Floor.load(std::memory_order_relaxed);
+  }
+
+  /// Consumer: copies the record after \p C into \p Payload and advances
+  /// \p C past it. Overrun when the producer has overwritten (or is
+  /// overwriting) that record; Corrupt when the bytes at \p C are not the
+  /// record with sequence C.Seq + 1 although they are intact.
+  ReadResult next(Cursor &C, std::vector<uint8_t> &Payload) const;
+
+  /// Remaps the stream read-only in the calling process (the consumers:
+  /// nothing but the parent may write it).
+  void protectReadOnly();
+
+private:
+  struct Header {
+    alignas(64) std::atomic<uint64_t> Floor;
+  };
+
+  void copyIn(uint64_t Pos, const void *Src, size_t Size);
+  void copyOut(uint64_t Pos, void *Dst, size_t Size) const;
+
+  Header *Hdr = nullptr;
+  uint8_t *Data = nullptr;
+  size_t Cap = 0;
+  size_t MapBytes = 0;
+  Cursor End; // producer-private
 };
 
 } // namespace alter

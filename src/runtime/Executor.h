@@ -163,28 +163,19 @@ struct ExecutorConfig {
   /// Data capacity of each worker slot's commit ring (rounded up to a
   /// power of two). Messages larger than the ring still ship — the child
   /// publishes in pieces under backpressure — this only sizes the fast
-  /// path.
+  /// path. It also bounds the pool's commit stream (parent -> replicas),
+  /// whose whole mapping stays at or below this size: a replica that falls
+  /// further behind than the stream holds is replaced by a fresh fork.
   size_t RingBytesPerSlot = 1 << 20;
 
   /// Retire and respawn the warm template after this many commits have
   /// been streamed to it (0 = never refresh). A refresh re-snapshots the
   /// template from the parent wholesale, bounding drift if incremental
   /// commit replay ever diverges; it waits for a moment with no warm child
-  /// in flight, so the old template can still reap its children.
+  /// in flight, so the old template can still reap its children. (A
+  /// template that fell behind the commit stream is refreshed the same
+  /// way, whatever this says.)
   unsigned TemplateRefreshCommits = 0;
-
-  /// Fork-free steady state (pipeline engine only): after a slot's chunk
-  /// commits, dispatch the next chunk to the SAME resident child over the
-  /// slot's work pipe instead of re-forking — the child's memory is the
-  /// fork-time snapshot plus its own committed writes, so validating its
-  /// reads against every commit since the original fork (the slot keeps
-  /// its fork-time SnapshotSeq) stays sound; it merely aborts more often
-  /// as the snapshot ages. This caps consecutive reuses per child, so the
-  /// snapshot lag — and the conflict-epoch history the detector must
-  /// retain — stays bounded. 0 disables reuse (every chunk re-forks from
-  /// the warm template). The round-based ForkJoin engine never reuses:
-  /// its round-local validation cannot see commits older than the round.
-  unsigned MaxChildReuse = 64;
 
   /// Kernel-enforced caps applied inside each forked chunk via setrlimit:
   /// CPU seconds (RLIMIT_CPU — a busy-spinning child is killed by SIGXCPU

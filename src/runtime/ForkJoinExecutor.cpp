@@ -74,9 +74,8 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
   // Pool faults degrade individual forks to the cold pipe path below.
   std::unique_ptr<WorkerPool> Pool;
   if (Config.Transport == TransportKind::Ring)
-    // No child reuse here: round-local validation (resetRound +
-    // hasConflict) cannot see commits older than the current round, which
-    // a reused child's snapshot would predate. Every chunk re-forks warm.
+    // No child reuse here: every round's chunks fork fresh from the
+    // template, which catches up to the previous rounds' commits first.
     Pool = std::make_unique<WorkerPool>(Spec, Config, P,
                                         /*AllowReuse=*/false);
   if (Pool && !Pool->valid()) {
@@ -538,7 +537,7 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
       // Stream the commit to the warm template at the exact point it is
       // applied here, so later warm forks snapshot this state.
       if (Pool)
-        Pool->pushCommit(W + 1, Chunk, Rep);
+        Pool->pushCommit(W + 1, Rep);
       if (Config.Metrics) {
         Result.Metrics.record(HistogramId::CommitNs, nowNs() - CommitR0);
         Result.Metrics.addCounter(CounterId::ParentCommits);

@@ -36,26 +36,24 @@ namespace {
 /// runs children as Worker i+1), so its lifecycle must serialize every use
 /// of that arena:
 ///
-///   Free -> Running (child forked) -> Free           (report consumed), or
+///   Free -> Running (child dispatched) -> Free        (report consumed), or
 ///        -> Running -> Reserved (report buffered for in-order retirement,
 ///           arena cursor still unadvanced) -> Free    (retired or retried)
 ///
-/// Reserved exists only under CommitOrderPolicy::InOrder: a buffered
-/// chunk's allocations live in the slot's arena beyond the child's exit,
-/// and forking another child into the same arena before the buffered chunk
-/// retires would hand out overlapping addresses.
+/// Reserved exists only under CommitOrderPolicy::InOrder. A loop that
+/// allocates (ExecutorConfig::Allocator) always reserves: a buffered
+/// chunk's allocations live in the slot's arena beyond its child's report,
+/// and running another chunk in the same arena before the buffered one
+/// retires would hand out overlapping addresses. Without an allocator a
+/// slot is freed as soon as its report is parked, unless P reports are
+/// already parked — which bounds how far the pipeline runs ahead of the
+/// oldest unretired chunk.
 struct Slot {
   enum class State { Free, Running, Reserved };
   State St = State::Free;
   ChunkChannel Ch; // transport-agnostic child channel
   int64_t Chunk = -1;
   uint64_t SnapshotSeq = 0;
-  /// A warm child may still be resident in this slot (ring transport):
-  /// even while the slot is Free — between its chunk completing and the
-  /// next dispatch — the child's fork-time snapshot must hold back epoch
-  /// pruning, or a redispatch would validate against truncated history
-  /// and miss conflicts.
-  bool PinSnapshot = false;
 };
 
 /// A decoded report waiting for in-order retirement.
@@ -113,8 +111,8 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   // Pool faults degrade individual forks to the cold pipe path below.
   std::unique_ptr<WorkerPool> Pool;
   if (Config.Transport == TransportKind::Ring)
-    // The pipeline's per-slot snapshot validation makes child reuse sound
-    // here (unlike ForkJoin's round-local validation).
+    // Resident children replay the commit stream before each chunk, so a
+    // redispatch gets the same snapshot a fork would.
     Pool = std::make_unique<WorkerPool>(Spec, Config, P,
                                         /*AllowReuse=*/true);
   if (Pool && !Pool->valid()) {
@@ -348,22 +346,12 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
                  /*Arg1=*/S.Ch.Reused ? 2 : S.Ch.Warm ? 1 : 0);
     S.St = Slot::State::Running;
     S.Chunk = Chunk;
-    // The child's snapshot reflects every commit applied so far — a warm
-    // fork sees exactly the commits streamed to the template before the
-    // Fork command (FIFO), a cold fork sees the parent's memory; both
+    // The child's snapshot reflects every commit applied so far: a cold
+    // fork sees the parent's memory, and a warm child — forked by the
+    // template or redispatched to a resident — first replays the commit
+    // stream up to the commits pushed before its command. Either way it
     // must validate against everything that commits after this point.
-    // A REUSED child is the exception: its memory still dates from its
-    // original fork (plus its own committed writes), so the slot keeps
-    // its fork-time SnapshotSeq and the chunk validates against every
-    // commit since then — older snapshot, more abort exposure, same
-    // soundness. (This also pins epoch pruning below that seq; the
-    // MaxChildReuse chain cap bounds how far it can lag.)
-    if (!S.Ch.Reused)
-      S.SnapshotSeq = Detector.commitSeq();
-    // Ring children stay resident after completion, so their snapshot
-    // must pin pruning across the slot's Free gaps; a cold child is gone
-    // once its record is in.
-    S.PinSnapshot = S.Ch.Warm;
+    S.SnapshotSeq = Detector.commitSeq();
     return true;
   };
 
@@ -403,7 +391,7 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   auto pruneEpochs = [&] {
     uint64_t MinSnapshot = Detector.commitSeq();
     for (const Slot &S : Slots)
-      if (S.St == Slot::State::Running || S.PinSnapshot)
+      if (S.St == Slot::State::Running)
         MinSnapshot = std::min(MinSnapshot, S.SnapshotSeq);
     for (const auto &[Chunk, B] : Arrived)
       MinSnapshot = std::min(MinSnapshot, B.SnapshotSeq);
@@ -433,10 +421,10 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
         TxnContext::commitReductionSlot(Spec.Reductions[I], Rep.Slots[I]);
     if (Config.Allocator)
       Config.Allocator->advanceBump(SlotIdx + 1, Rep.BumpOffset);
-    // Mirror the commit into the warm template so later warm forks see
-    // it; the chunk id doubles as the reuse commit-gate for the slot.
+    // Stream the commit to the warm replicas (template and residents),
+    // which replay it before their next chunk.
     if (Pool)
-      Pool->pushCommit(SlotIdx + 1, Chunk, Rep);
+      Pool->pushCommit(SlotIdx + 1, Rep);
     if (Config.Metrics) {
       Result.Metrics.record(HistogramId::CommitNs, nowNs() - CommitR0);
       Result.Metrics.addCounter(CounterId::ParentCommits);
@@ -474,7 +462,8 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
          It = Arrived.find(NextToRetire)) {
       BufferedReport B = std::move(It->second);
       Arrived.erase(It);
-      Slots[B.SlotIdx].St = Slot::State::Free;
+      if (Slots[B.SlotIdx].St == Slot::State::Reserved)
+        Slots[B.SlotIdx].St = Slot::State::Free;
       const uint64_t ValT0 = Sink.events() ? traceNowNs() : 0;
       const uint64_t ValR0 = Config.Metrics ? nowNs() : 0;
       faultParentKillPoint(); // crash-restart: parent dies at validate
@@ -538,6 +527,8 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     std::string Error;
     if (!decodeChildReport(S.Ch.Buf, Spec, Config.Params, Rep, Error)) {
       ++Result.Stats.NumWireRejects;
+      if (S.Ch.Warm)
+        Pool->discardResident(SlotIdx); // its next chunk re-forks
       S.St = Slot::State::Free;
       S.Ch.Buf.clear();
       chunkFault(S.Chunk, "rejected commit message: " + Error);
@@ -596,11 +587,12 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
       Result.Metrics.merge(Rep.Metrics);
 
     if (InOrder && S.Chunk != NextToRetire) {
-      // Too early to retire: park the report, keep the slot's arena
-      // reserved for its allocations, and free the worker for other work.
+      // Too early to retire: park the report (see Slot for when its slot
+      // stays reserved until then).
       Arrived.emplace(S.Chunk,
                       BufferedReport{std::move(Rep), S.SnapshotSeq, SlotIdx});
-      S.St = Slot::State::Reserved;
+      S.St = Config.Allocator || Arrived.size() > P ? Slot::State::Reserved
+                                                    : Slot::State::Free;
       return;
     }
     S.St = Slot::State::Free;

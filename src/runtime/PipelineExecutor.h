@@ -14,9 +14,12 @@
 ///
 /// Semantics (relative to §4.2/§4.3 and Theorems 4.1-4.4):
 ///
-///  - Each child is forked from the parent, so its COW snapshot reflects
-///    every commit applied so far. The transaction records the commit
-///    sequence at fork ("snapshot sequence") and validates against exactly
+///  - Each child starts on every commit applied so far: a cold child is
+///    forked from the parent, a warm one (ring transport) replays the
+///    pool's commit stream up to its dispatch first, whether the template
+///    forks it or it is a resident child taking another chunk. The
+///    transaction records the commit sequence at dispatch ("snapshot
+///    sequence") and validates against exactly
 ///    the write sets of transactions that committed AFTER that point
 ///    (ConflictDetector's epoch interface). This generalizes the round
 ///    discipline — a round-mate is just a transaction whose snapshot you
@@ -31,8 +34,9 @@
 ///    arrived report for chunk c buffers until every chunk < c has
 ///    committed, then validates against the commits it missed. Combined
 ///    with RAW this is Theorem 4.3's sequential semantics. Because only
-///    the oldest unretired chunk can commit, its retry (forked fresh, with
-///    nothing else committing) always succeeds — progress is guaranteed.
+///    the oldest unretired chunk can commit, its retry (on a fresh
+///    snapshot, with nothing else committing) always succeeds — progress
+///    is guaranteed.
 ///  - CommitOrderPolicy::OutOfOrder retires on arrival. Arrival order is
 ///    timing-dependent, so the schedule (unlike the barriered engines') is
 ///    not deterministic across runs — but every final state is equivalent

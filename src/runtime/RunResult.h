@@ -123,12 +123,14 @@ struct RunStats {
   /// (the fork-free steady state; pipeline engine, Ring transport).
   /// Counted inside WarmForks — a reuse is the warmest possible path.
   uint64_t ChildReuses = 0;
-  /// Template retire/respawn cycles (TemplateRefreshCommits).
+  /// Template retire/respawn cycles: TemplateRefreshCommits, or a
+  /// template the commit stream had lapped.
   uint64_t TemplateRefreshes = 0;
   /// Pool infrastructure faults absorbed without failing any chunk:
-  /// template spawn failures, a dead template discovered on use, and
-  /// injected TemplatePoison hits. Each degrades the affected forks to
-  /// the cold path.
+  /// template spawn failures, a dead template discovered on use, injected
+  /// TemplatePoison hits, and forks that found the template lapped by the
+  /// commit stream while it could not yet be replaced. Each degrades the
+  /// affected forks to the cold path.
   uint64_t PoolFaults = 0;
 
   //===--------------------------------------------------------------------===

@@ -93,6 +93,10 @@ void RunResult::mergeTrace(const RunResult &Other) {
   TraceEventsDropped += Other.TraceEventsDropped;
   mergeGranuleStats(GranuleAborts, Other.GranuleAborts);
   UnattributedAborts += Other.UnattributedAborts;
+  if (!Other.Metrics.empty())
+    Metrics.merge(Other.Metrics);
+  Timeline.insert(Timeline.end(), Other.Timeline.begin(),
+                  Other.Timeline.end());
 }
 
 bool RunResult::writeChromeTrace(const std::string &Path,

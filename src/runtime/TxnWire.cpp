@@ -297,13 +297,19 @@ bool alter::deserializeAccessSet(const uint8_t *Data, size_t Size,
 namespace {
 
 /// Child-side core shared by the pipe and ring transports: applies the
-/// rlimit caps, executes the chunk transactionally, serializes the framed
-/// ALTER4 message, and applies any armed wire-corruption or stall fault.
-/// The crash/kill faults raise inside, so this returns only on the report
-/// path. The assembled (possibly corrupted) message is ready to ship
-/// verbatim over either transport.
+/// rlimit caps, executes the chunk transactionally in \p Ctx, serializes
+/// the framed message, and applies any armed wire-corruption or stall
+/// fault. The crash/kill faults raise inside, so this returns only on the
+/// report path. The assembled (possibly corrupted) message is ready to
+/// ship verbatim over either transport.
+///
+/// A one-shot child (\p Resident false) leaves memory dirty: its address
+/// space is discarded on exit. A resident child restores its snapshot —
+/// memory and arena cursor — so it can run its next chunk whatever the
+/// parent decides about this one.
 std::vector<uint8_t> buildChildCommitMessage(const LoopSpec &Spec,
                                              const ExecutorConfig &Config,
+                                             TxnContext &Ctx, bool Resident,
                                              unsigned Worker, int64_t Chunk,
                                              int64_t FirstIter,
                                              int64_t LastIter,
@@ -319,18 +325,16 @@ std::vector<uint8_t> buildChildCommitMessage(const LoopSpec &Spec,
                  static_cast<uint64_t>(FirstIter),
                  static_cast<uint64_t>(LastIter));
 
-  TxnContext Ctx(ContextMode::Transactional, &Config.Params, &Spec,
-                 Config.Allocator, Worker, Config.Limits);
   Ctx.beginTxn();
   const uint64_t TraceT0 = Trace.events() ? traceNowNs() : 0;
   const uint64_t T0 = nowNs();
   for (int64_t I = FirstIter; I != LastIter; ++I)
     Spec.Body(Ctx, I);
-  // The serialized log must carry the new values. No restore is needed:
-  // this address space is either discarded on exit, or — when the parent
-  // redispatches this resident child — kept only after the chunk commits,
-  // at which point the written-through values ARE committed state.
-  Ctx.captureRedo();
+  // Either way the log ends up holding the new values for the frame.
+  if (Resident)
+    Ctx.suspendTxn();
+  else
+    Ctx.captureRedo();
   const uint64_t WorkNs = nowNs() - T0;
   if (Trace.events())
     Trace.record(TraceEventKind::ChunkExec, Worker, Chunk, TraceT0, WorkNs,
@@ -345,6 +349,10 @@ std::vector<uint8_t> buildChildCommitMessage(const LoopSpec &Spec,
 
   std::vector<uint8_t> Message =
       encodeCommitFrame(Ctx, Config, Worker, Chunk, WorkNs, Trace, Metrics);
+  // The frame has recorded the arena cursor; a resident child's own
+  // allocations come back to it, if the chunk commits, through the stream.
+  if (Resident)
+    Ctx.abortTxn();
   if (Fault.Armed) {
     switch (Fault.Kind) {
     case FaultKind::PipeTruncate:
@@ -488,9 +496,11 @@ void alter::runWireChild(const LoopSpec &Spec, const ExecutorConfig &Config,
                          int64_t LastIter, int Fd, const ArmedFault &Fault) {
   markForkedChild();
   MetricsRegistry Reg;
-  const std::vector<uint8_t> Message =
-      buildChildCommitMessage(Spec, Config, Worker, Chunk, FirstIter,
-                              LastIter, Fault, Config.Metrics ? &Reg : nullptr);
+  TxnContext Ctx(ContextMode::Transactional, &Config.Params, &Spec,
+                 Config.Allocator, Worker, Config.Limits);
+  const std::vector<uint8_t> Message = buildChildCommitMessage(
+      Spec, Config, Ctx, /*Resident=*/false, Worker, Chunk, FirstIter,
+      LastIter, Fault, Config.Metrics ? &Reg : nullptr);
   writeAllToPipe(Fd, Message.data(), Message.size());
   ::close(Fd);
   _exit(0);
@@ -501,6 +511,8 @@ void alter::runWireChildRing(const LoopSpec &Spec,
                              int64_t Chunk, int64_t FirstIter,
                              int64_t LastIter, CommitRing &Ring,
                              int DoorbellFd, uint8_t DoorbellTag, int WorkFd,
+                             const CommitStream &Stream,
+                             CommitStream::Cursor Cursor,
                              const ArmedFault &Fault) {
   markForkedChild();
   const auto RingBell = [&](uint8_t Kind) {
@@ -516,11 +528,15 @@ void alter::runWireChildRing(const LoopSpec &Spec,
   // waits are lost with the child — documented, and bounded to one chunk).
   MetricsRegistry Reg;
   MetricsRegistry *Metrics = Config.Metrics ? &Reg : nullptr;
+  TxnContext Ctx(ContextMode::Transactional, &Config.Params, &Spec,
+                 Config.Allocator, Worker, Config.Limits);
+  const bool Resident = WorkFd >= 0;
 
   ArmedFault F = Fault;
   for (;;) {
     const std::vector<uint8_t> Message = buildChildCommitMessage(
-        Spec, Config, Worker, Chunk, FirstIter, LastIter, F, Metrics);
+        Spec, Config, Ctx, Resident, Worker, Chunk, FirstIter, LastIter, F,
+        Metrics);
     // Publish through shared memory; the doorbell after every accepted
     // piece keeps the parent draining, so a message larger than the ring
     // makes progress under backpressure instead of deadlocking.
@@ -540,13 +556,10 @@ void alter::runWireChildRing(const LoopSpec &Spec,
     // the same attempt tag with no stale bytes in flight.
     RingBell(RingDoorbellFinish);
     const uint64_t WaitT0 = Metrics ? nowNs() : 0;
-    if (WorkFd < 0)
+    if (!Resident)
       _exit(0);
-    // Fork-free steady state: stay resident and wait for the parent to
-    // hand us another chunk. Our memory is the fork-time snapshot plus
-    // this chunk's (written-through) values — the parent only redispatches
-    // if the chunk committed, making that memory a subset of committed
-    // state; otherwise it kills us and re-forks from the template.
+    // Fork-free steady state: our memory is back at our snapshot, so we
+    // can take any next chunk once we replay the commits since then.
     WireNextCmd Cmd;
     for (;;) {
       uint8_t *P = reinterpret_cast<uint8_t *>(&Cmd);
@@ -572,11 +585,89 @@ void alter::runWireChildRing(const LoopSpec &Spec,
     // the NEXT chunk's frame (take-and-reset above).
     if (Metrics)
       Metrics->record(HistogramId::ValidateWaitNs, nowNs() - WaitT0);
+    // The new chunk's snapshot is committed state as of Cmd.Seq. A lapped
+    // or undecodable replay leaves memory that is neither; exiting hands
+    // the chunk back to the parent as a contained crash, and the slot
+    // re-forks from the template.
+    if (catchUpCommits(Stream, Cursor, Cmd.Seq, Spec, Config) !=
+        CommitStream::ReadResult::Ok)
+      _exit(StreamOverrunExitStatus);
     Chunk = Cmd.Chunk;
     FirstIter = Cmd.First;
     LastIter = Cmd.Last;
     F = Cmd.Fault;
   }
+}
+
+namespace {
+
+/// Fixed head of a commit-stream record's payload; NumSlots raw
+/// RedSlotStates and the compact write log follow. Raw structs: every
+/// reader is a fork of the writer.
+struct CommitRecordHeader {
+  uint64_t Worker;
+  uint64_t BumpOffset;
+  uint64_t NumSlots;
+};
+
+/// Applies one commit-stream record, exactly as the parent applied the
+/// commit. False when the record does not decode.
+bool applyCommitRecord(const std::vector<uint8_t> &Record,
+                       const LoopSpec &Spec, const ExecutorConfig &Config) {
+  CommitRecordHeader Hdr;
+  if (Record.size() < sizeof(Hdr))
+    return false;
+  std::memcpy(&Hdr, Record.data(), sizeof(Hdr));
+  if (Hdr.NumSlots != Spec.Reductions.size())
+    return false;
+  const size_t SlotBytes =
+      Spec.Reductions.size() * sizeof(TxnContext::RedSlotState);
+  if (Record.size() - sizeof(Hdr) < SlotBytes)
+    return false;
+  const uint8_t *LogData = Record.data() + sizeof(Hdr) + SlotBytes;
+  WriteLog Log;
+  if (!WriteLog::deserializeCompactChecked(
+          LogData, Record.size() - sizeof(Hdr) - SlotBytes, Log))
+    return false;
+  Log.apply();
+  for (size_t I = 0; I != Spec.Reductions.size(); ++I) {
+    TxnContext::RedSlotState Slot;
+    std::memcpy(&Slot, Record.data() + sizeof(Hdr) + I * sizeof(Slot),
+                sizeof(Slot));
+    if (Slot.Active && Slot.Touched)
+      TxnContext::commitReductionSlot(Spec.Reductions[I], Slot);
+  }
+  if (Config.Allocator)
+    Config.Allocator->advanceBump(static_cast<unsigned>(Hdr.Worker),
+                                  static_cast<size_t>(Hdr.BumpOffset));
+  return true;
+}
+
+} // namespace
+
+void alter::appendCommitRecord(CommitStream &Stream, unsigned Worker,
+                               const ChildReport &Rep) {
+  const CommitRecordHeader Hdr{Worker, Rep.BumpOffset, Rep.Slots.size()};
+  Stream.append({{&Hdr, sizeof(Hdr)},
+                 {Rep.Slots.data(),
+                  Rep.Slots.size() * sizeof(TxnContext::RedSlotState)},
+                 {Rep.LogWire.data(), Rep.LogWire.size()}});
+}
+
+CommitStream::ReadResult alter::catchUpCommits(const CommitStream &Stream,
+                                               CommitStream::Cursor &Cursor,
+                                               uint64_t TargetSeq,
+                                               const LoopSpec &Spec,
+                                               const ExecutorConfig &Config) {
+  std::vector<uint8_t> Record;
+  while (Cursor.Seq < TargetSeq) {
+    const CommitStream::ReadResult R = Stream.next(Cursor, Record);
+    if (R != CommitStream::ReadResult::Ok)
+      return R;
+    if (!applyCommitRecord(Record, Spec, Config))
+      return CommitStream::ReadResult::Corrupt;
+  }
+  return CommitStream::ReadResult::Ok;
 }
 
 bool alter::wireFrameLooksComplete(const uint8_t *Bytes, size_t Size) {
@@ -655,6 +746,7 @@ bool alter::decodeChildReport(const std::vector<uint8_t> &Bytes,
     Error = "corrupt write log";
     return false;
   }
+  Rep.LogWire.assign(LogData, LogData + LogBytes);
   const uint64_t NumSlots = R.u64();
   if (R.failed() || NumSlots != Spec.Reductions.size()) {
     Error = "reduction slot count mismatch";

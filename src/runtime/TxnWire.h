@@ -83,6 +83,10 @@ struct ChildReport {
   AccessSet Reads;
   AccessSet Writes;
   WriteLog Log;
+  /// The write log's compact wire bytes exactly as the frame carried them
+  /// (already validated by decoding Log from them): the parent forwards
+  /// them to the commit stream without serializing Log again.
+  std::vector<uint8_t> LogWire;
   std::vector<TxnContext::RedSlotState> Slots;
   /// Child-side trace events from the message's TRACE section (empty below
   /// TraceLevel::Events or for ALTER3 frames).
@@ -107,15 +111,17 @@ struct ChildReport {
                                const ArmedFault &Fault = ArmedFault());
 
 /// One redispatch command on a slot's work pipe (parent -> resident
-/// child): run this chunk against the memory you already have. Sent only
-/// after the child's previous chunk committed, so that memory is a subset
-/// of committed state. Raw little-endian struct — parent and child are
-/// forks of one process, so layouts agree by construction.
+/// child): replay the commit stream through sequence number \p Seq, then
+/// run this chunk. Raw little-endian struct — parent and child are forks
+/// of one process, so layouts agree by construction.
 struct WireNextCmd {
   int64_t Chunk;
   int64_t First;
   int64_t Last;
   ArmedFault Fault;
+  /// Commit-stream sequence number the child must catch up to first: the
+  /// parent's commit count at dispatch, i.e. the chunk's SnapshotSeq.
+  uint64_t Seq;
   /// Attempt tag of the child this command is addressed to. If the target
   /// dies between the parent's dispatch write and its work-pipe read (the
   /// parent holds the read end, so the pipe — and the command — survive),
@@ -126,38 +132,71 @@ struct WireNextCmd {
   uint8_t Tag;
 };
 
-/// Ring-transport variant of runWireChild: same transactional execution
-/// and byte-identical ALTER4 frame, but the message is published into
-/// \p Ring (shared with the parent) instead of a pipe, with a
-/// (RingDoorbellData | \p DoorbellTag) byte written to \p DoorbellFd after
-/// every accepted piece so the parent's poll loop wakes to drain, and a
-/// RingDoorbellFinish byte once the record is fully published. Called by
-/// the warm template's forked children (WorkerPool). After Finish the
-/// child does not exit: it blocks on \p WorkFd for a WireNextCmd and runs
-/// that chunk in the same address space — the fork-free steady state. EOF
-/// or a short read on \p WorkFd exits cleanly; \p WorkFd < 0 restores the
-/// exit-after-one-chunk behavior. Never returns.
+/// Exit status of a replica (resident child or warm template) that found
+/// itself lapped by the commit stream: its memory can no longer be brought
+/// to committed state, so it bows out and is replaced by a fresh fork.
+constexpr int StreamOverrunExitStatus = 14;
+
+/// Ring-transport variant of runWireChild, run by the warm template's
+/// forked children (WorkerPool): same transactional execution and frame,
+/// but the message is published into \p Ring (shared with the parent)
+/// instead of a pipe, with a (RingDoorbellData | \p DoorbellTag) byte
+/// written to \p DoorbellFd after every accepted piece so the parent's
+/// poll loop wakes to drain, and a RingDoorbellFinish byte once the record
+/// is fully published.
+///
+/// With \p WorkFd >= 0 the child is a resident replica of committed state
+/// (the fork-free steady state): it keeps one TxnContext, ends every chunk
+/// with suspendTxn() and an arena rollback, so its memory returns to its
+/// snapshot whether the chunk later commits or aborts, then blocks on
+/// \p WorkFd for a WireNextCmd. Before running that chunk it replays
+/// \p Stream from \p Cursor (its snapshot: the template's cursor at the
+/// fork) through the command's Seq; a lapped replay exits with
+/// StreamOverrunExitStatus. EOF or a short read on \p WorkFd exits
+/// cleanly. With \p WorkFd < 0 the child exits after one chunk. Never
+/// returns.
 [[noreturn]] void runWireChildRing(const LoopSpec &Spec,
                                    const ExecutorConfig &Config,
                                    unsigned Worker, int64_t Chunk,
                                    int64_t FirstIter, int64_t LastIter,
                                    CommitRing &Ring, int DoorbellFd,
                                    uint8_t DoorbellTag, int WorkFd,
+                                   const CommitStream &Stream,
+                                   CommitStream::Cursor Cursor,
                                    const ArmedFault &Fault = ArmedFault());
 
+/// Parent side: appends one validated commit to \p Stream — arena index
+/// \p Worker's cursor, the reduction slots and the write log's compact
+/// bytes (Rep.LogWire) — for the replicas to replay.
+void appendCommitRecord(CommitStream &Stream, unsigned Worker,
+                        const ChildReport &Rep);
+
+/// Replica side: replays every record of \p Stream after \p Cursor
+/// through sequence number \p TargetSeq into this process's memory (write
+/// log, reduction slots, arena cursor — the same effects as the parent's
+/// own commit), advancing \p Cursor. Stops at the first record that was
+/// overwritten (Overrun) or does not decode (Corrupt); records before it
+/// stay applied.
+CommitStream::ReadResult catchUpCommits(const CommitStream &Stream,
+                                        CommitStream::Cursor &Cursor,
+                                        uint64_t TargetSeq,
+                                        const LoopSpec &Spec,
+                                        const ExecutorConfig &Config);
+
 /// Child side: serializes the framed commit message for a transaction
-/// already executed in \p Ctx (after captureRedo): fixed header,
-/// compressed access sets, write log, reduction slots, TRACE section, all
-/// wrapped in the magic | length | CRC32 frame. The uncorrupted building
-/// block behind runWireChild, exposed so other transactional children (the
-/// stage-pipeline workers) can ship through the identical validate/commit
-/// path. Records the Serialize/CommitAttempt trace events into \p Trace
-/// before encoding the TRACE section. With \p Metrics null the frame is
-/// the byte-identical ALTER4 format of previous releases; with a registry
-/// the frame is ALTER5 and carries the registry (after recording this
-/// frame's serialize latency and sizes into it) in the METRICS section,
-/// then RESETS it — each frame ships the deltas since the previous one, so
-/// the parent-side merge across frames double-counts nothing.
+/// already executed in \p Ctx (after captureRedo or suspendTxn): fixed
+/// header, compressed access sets, write log, reduction slots, TRACE
+/// section, all wrapped in the magic | length | CRC32 frame. The
+/// uncorrupted building block behind runWireChild, exposed so other
+/// transactional children (the stage-pipeline workers) can ship through
+/// the identical validate/commit path. Records the Serialize/CommitAttempt
+/// trace events into \p Trace before encoding the TRACE section. With
+/// \p Metrics null the frame is the byte-identical ALTER4 format of
+/// previous releases; with a registry the frame is ALTER5 and carries the
+/// registry (after recording this frame's serialize latency and sizes into
+/// it) in the METRICS section, then RESETS it — each frame ships the
+/// deltas since the previous one, so the parent-side merge across frames
+/// double-counts nothing.
 std::vector<uint8_t> encodeCommitFrame(TxnContext &Ctx,
                                        const ExecutorConfig &Config,
                                        unsigned Worker, int64_t Chunk,

@@ -6,8 +6,6 @@
 
 #include "runtime/WorkerPool.h"
 
-#include "memory/AlterAllocator.h"
-#include "memory/WriteLog.h"
 #include "support/Error.h"
 #include "support/Io.h"
 #include "support/Subprocess.h"
@@ -15,6 +13,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <csignal>
 #include <cstdlib>
@@ -40,18 +39,11 @@ namespace {
 /// pointers (reduction Custom ops) and layouts are identical by
 /// construction and need no portable encoding.
 enum : uint8_t {
-  OpApply = 1, ///< replay one commit into template memory
-  OpFork = 2,  ///< fork a chunk child for a slot
-  OpKill = 3,  ///< SIGKILL + reap a slot's child (acked by a doorbell)
+  OpFork = 2, ///< catch up, then fork a chunk child for a slot
+  OpKill = 3, ///< SIGKILL + reap a slot's child (acked by a doorbell)
 };
 
 constexpr size_t CmdHeaderBytes = 1 + sizeof(uint64_t);
-
-/// Buffered OpApply commands are written once they reach this size even
-/// with no fork pending, so a long fork-free stretch neither grows the
-/// parent's batch without bound nor leaves the template a huge backlog to
-/// replay at the next fork.
-constexpr size_t ApplyBatchFlushBytes = 64 << 10;
 
 struct ForkCmd {
   uint64_t Slot;
@@ -60,29 +52,13 @@ struct ForkCmd {
   int64_t First;
   int64_t Last;
   ArmedFault Fault;
+  /// Commit-stream sequence number to replay through before forking.
+  uint64_t Seq;
 };
 
 struct KillCmd {
   uint64_t Slot;
 };
-
-struct ApplyCmdHeader {
-  uint64_t Worker;
-  uint64_t BumpOffset;
-  uint64_t NumSlots;
-  // Followed by NumSlots x TxnContext::RedSlotState, u64 LogBytes, log.
-};
-
-void appendRaw(std::vector<uint8_t> &Out, const void *Data, size_t Size) {
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  Out.insert(Out.end(), P, P + Size);
-}
-
-void appendCmdHeader(std::vector<uint8_t> &Out, uint8_t Op,
-                     uint64_t PayloadLen) {
-  Out.push_back(Op);
-  appendRaw(Out, &PayloadLen, sizeof(PayloadLen));
-}
 
 /// The executors and the pool live in processes that write to pipes whose
 /// read end can vanish mid-run (a killed template, a dead parent); the
@@ -93,10 +69,6 @@ void ignoreSigpipeOnce() {
     return true;
   }();
   (void)Done;
-}
-
-bool writeAllRetry(int Fd, const void *Data, size_t Size) {
-  return writeFull(Fd, Data, Size);
 }
 
 void writeDoorbell(int Fd, uint8_t Byte) {
@@ -153,9 +125,14 @@ void alter::setGlobalTransportKind(TransportKind Kind) {
 
 WorkerPool::WorkerPool(const LoopSpec &Spec, const ExecutorConfig &Config,
                        unsigned NumSlots, bool AllowReuse)
-    : Spec(Spec), Config(Config),
-      AllowReuse(AllowReuse && Config.MaxChildReuse != 0), Slots(NumSlots) {
+    : Spec(Spec), Config(Config), AllowReuse(AllowReuse), Slots(NumSlots),
+      Stream(Config.RingBytesPerSlot) {
   ignoreSigpipeOnce();
+  if (!Stream.valid()) {
+    // Same containment as a ring mapping failure below.
+    Invalid = true;
+    FailSite = 0;
+  }
   for (unsigned SlotIdx = 0; SlotIdx != Slots.size(); ++SlotIdx) {
     SlotState &S = Slots[SlotIdx];
     // Resource exhaustion here (ENOMEM on the ring mapping, EMFILE/ENFILE
@@ -237,18 +214,13 @@ bool WorkerPool::anyInFlight() const {
 bool WorkerPool::sendCommand(uint8_t Op, const void *Payload, size_t Size) {
   if (ControlFd < 0)
     return false;
-  // The command rides behind the buffered commits, in one write: a Fork
-  // sees exactly the commits pushed before it, as if each had been sent
-  // on its own.
-  appendCmdHeader(Batch, Op, Size);
-  appendRaw(Batch, Payload, Size);
-  return flushBatch();
-}
-
-bool WorkerPool::flushBatch() {
-  const bool Ok = writeAllRetry(ControlFd, Batch.data(), Batch.size());
-  Batch.clear();
-  if (Ok)
+  uint8_t Cmd[CmdHeaderBytes + sizeof(ForkCmd)];
+  assert(Size <= sizeof(ForkCmd) && "control commands are small structs");
+  const uint64_t PayloadLen = Size;
+  Cmd[0] = Op;
+  std::memcpy(Cmd + 1, &PayloadLen, sizeof(PayloadLen));
+  std::memcpy(Cmd + CmdHeaderBytes, Payload, Size);
+  if (writeFull(ControlFd, Cmd, CmdHeaderBytes + Size))
     return true;
   // The template is gone (EPIPE) or wedged: retire it hard so the caller
   // degrades to cold forks and the next warm fork respawns cleanly.
@@ -269,7 +241,6 @@ void WorkerPool::killTemplateHard() {
     ::close(ControlFd);
   ControlFd = -1;
   TemplatePid = -1;
-  Batch.clear(); // the respawn forks from the parent: already current
   // The template's in-flight children died with it (PDEATHSIG) and nothing
   // is left to reap them, so their terminal doorbells would never ring and
   // the executor would wait on those channels forever. Ring them on the
@@ -342,9 +313,7 @@ void WorkerPool::resetSlot(SlotState &S) {
   S.TerminalSeen = true;
   S.RecordDone = true;
   S.FinishSeen = false;
-  S.LastCommitOk = false;
-  S.CurChunk = -1;
-  S.ReuseChain = 0;
+  S.Discard = false;
 }
 
 bool WorkerPool::ensureTemplate() {
@@ -353,6 +322,8 @@ bool WorkerPool::ensureTemplate() {
   int Fds[2];
   if (::pipe(Fds) != 0)
     return false;
+  // Forked from the parent, the template holds every commit pushed so far.
+  TemplateCursor = Stream.end();
   const pid_t Pid = ::fork();
   if (Pid < 0) {
     ::close(Fds[0]);
@@ -391,7 +362,6 @@ void WorkerPool::retireTemplate() {
   // children and exit; it is quiescent otherwise, so this is prompt.
   ::close(ControlFd);
   ControlFd = -1;
-  Batch.clear();
   int Status = 0;
   ChildRusage Usage;
   if (waitpidRusage(TemplatePid, &Status, &Usage) > 0)
@@ -478,23 +448,23 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   }
 
   // Fork-free steady state: the slot's previous child rang Finish (so it
-  // is resident, idle, and will never ring another byte for the old
-  // chunk), its chunk committed (so its written-through memory is a
-  // subset of committed state), and no terminal doorbell arrived (so it
-  // was not reaped dead). Hand it the next chunk with one small write —
-  // no fork by the parent, the template, or anyone else. FinishSeen is
-  // the race gate: it proves the old chunk's last doorbell was already
-  // consumed, which is what makes redispatch under the SAME attempt tag
-  // safe (and keeping the tag keeps the template's pid/tag bookkeeping
-  // valid for kills and crash reaps). The chain cap bounds snapshot
-  // staleness — and with it conflict-epoch retention — by periodically
-  // falling through to a fresh template fork.
-  if (AllowReuse && S.Used && !S.TerminalSeen && S.LastCommitOk &&
-      S.ReuseChain < Config.MaxChildReuse) {
+  // is resident, idle, back at its snapshot, and will never ring another
+  // byte for the old chunk), no terminal doorbell arrived (so it was not
+  // reaped dead), the parent did not reject its last record, and the
+  // stream still holds every commit it must replay. Hand it the next chunk
+  // with one small write — no fork by the parent, the template, or anyone
+  // else — whether its previous chunk committed, aborted or is still
+  // parked: it catches up to the commits pushed so far before running.
+  // FinishSeen is the race gate: it proves the old chunk's last doorbell
+  // was already consumed, which is what makes redispatch under the SAME
+  // attempt tag safe (and keeping the tag keeps the template's pid/tag
+  // bookkeeping valid for kills and crash reaps).
+  if (AllowReuse && S.Used && !S.TerminalSeen && !S.Discard &&
+      Stream.holds(S.Cursor)) {
     // Consume any doorbells still queued: the Finish byte itself, when
     // the record was completed by frame inspection before the pipe was
     // drained, and any terminal that raced in (a crash terminal means
-    // the resident child died after its commit: fall through and
+    // the resident child died after publishing: fall through and
     // re-fork). The wait is not optional politeness — the parent often
     // completes the record off the Data bell a beat BEFORE the child
     // writes Finish (push then bell are two syscalls), and giving up
@@ -537,15 +507,13 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
         break; // timeout: one more drain would see nothing new
     }
     if (S.FinishSeen && !S.TerminalSeen) {
-      WireNextCmd Next{Chunk, First, Last, Fault,
-                       static_cast<uint8_t>(S.Attempt)};
-      if (writeAllRetry(S.WorkW, &Next, sizeof(Next))) {
+      const WireNextCmd Next{Chunk, First, Last, Fault, Stream.end().Seq,
+                             static_cast<uint8_t>(S.Attempt)};
+      if (writeFull(S.WorkW, &Next, sizeof(Next))) {
         ++Reuses;
-        ++S.ReuseChain;
         S.RecordDone = false;
         S.FinishSeen = false;
-        S.LastCommitOk = false;
-        S.CurChunk = Chunk;
+        S.Cursor = Stream.end();
         Ch = ChunkChannel();
         Ch.Launched = true;
         Ch.Warm = true;
@@ -554,6 +522,24 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
         return true;
       }
       // A failed dispatch write degrades to the fork path below.
+    }
+  }
+
+  // A template fork replays the stream from the template's cursor; if the
+  // parent has already overwritten part of what it needs, only a fresh
+  // template (forked from the parent, hence current) can serve the fork.
+  // Replacing it kills its residents, so wait for a moment with nothing
+  // in flight, as the scheduled refresh does, and run cold until then.
+  if (!Stream.holds(TemplateCursor)) {
+    if (anyInFlight()) {
+      ++Faults;
+      return false;
+    }
+    retireTemplate();
+    ++Refreshes;
+    if (!ensureTemplate()) {
+      ++Faults;
+      return false;
     }
   }
 
@@ -574,7 +560,8 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   }
 
   S.Attempt = (S.Attempt + 1) & RingDoorbellTagMask;
-  const ForkCmd Fork{Slot, S.Attempt, Chunk, First, Last, Fault};
+  const ForkCmd Fork{Slot, S.Attempt, Chunk, First, Last, Fault,
+                     Stream.end().Seq};
   if (!sendCommand(OpFork, &Fork, sizeof(Fork)))
     return false;
 
@@ -582,9 +569,8 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   S.TerminalSeen = false;
   S.RecordDone = false;
   S.FinishSeen = false;
-  S.LastCommitOk = false;
-  S.CurChunk = Chunk;
-  S.ReuseChain = 0;
+  S.Discard = false;
+  S.Cursor = TemplateCursor = Stream.end();
   Ch = ChunkChannel();
   Ch.Launched = true;
   Ch.Warm = true;
@@ -592,43 +578,10 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   return true;
 }
 
-void WorkerPool::pushCommit(unsigned Worker, int64_t Chunk,
-                            const ChildReport &Rep) {
-  // Commit gate for child reuse: the chunk must be the one the slot most
-  // recently dispatched — a stale InOrder-buffered commit retiring after
-  // the slot moved on must not mark the NEW occupant's memory clean.
-  if (Worker >= 1 && Worker <= Slots.size()) {
-    SlotState &S = Slots[Worker - 1];
-    if (S.Used && Chunk == S.CurChunk)
-      S.LastCommitOk = true;
-  }
-  if (TemplatePid < 0)
-    return; // parent state is authoritative; the respawn resyncs wholesale
-  // Append the Apply command to the batch, serializing the log in place
-  // and patching the two length fields once its size is known.
-  ApplyCmdHeader Hdr;
-  Hdr.Worker = Worker;
-  Hdr.BumpOffset = Rep.BumpOffset;
-  Hdr.NumSlots = Rep.Slots.size();
-  const size_t CmdStart = Batch.size();
-  appendCmdHeader(Batch, OpApply, 0);
-  appendRaw(Batch, &Hdr, sizeof(Hdr));
-  if (!Rep.Slots.empty())
-    appendRaw(Batch, Rep.Slots.data(),
-              Rep.Slots.size() * sizeof(TxnContext::RedSlotState));
-  const size_t LogBytesAt = Batch.size();
-  uint64_t LogBytes = 0; // patched below
-  appendRaw(Batch, &LogBytes, sizeof(LogBytes));
-  Rep.Log.serializeCompact(Batch);
-  LogBytes = Batch.size() - LogBytesAt - sizeof(LogBytes);
-  const uint64_t PayloadLen = Batch.size() - CmdStart - CmdHeaderBytes;
-  std::memcpy(Batch.data() + LogBytesAt, &LogBytes, sizeof(LogBytes));
-  std::memcpy(Batch.data() + CmdStart + 1, &PayloadLen, sizeof(PayloadLen));
-  ++CommitsSinceSpawn;
-  // Only a fork needs the template current, so the batch waits for the
-  // next command unless it has grown large.
-  if (Batch.size() >= ApplyBatchFlushBytes)
-    (void)flushBatch();
+void WorkerPool::pushCommit(unsigned Worker, const ChildReport &Rep) {
+  appendCommitRecord(Stream, Worker, Rep);
+  if (TemplatePid > 0)
+    ++CommitsSinceSpawn;
 }
 
 bool WorkerPool::pump(unsigned Slot, ChunkChannel &Ch) {
@@ -701,6 +654,11 @@ void WorkerPool::templateMain(int CtlFd) {
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
 #endif
 
+  // Only the parent writes the stream. Our copy of its producer state is
+  // frozen at our fork, so its end is exactly the commits we hold.
+  Stream.protectReadOnly();
+  CommitStream::Cursor Cur = Stream.end();
+
   std::vector<pid_t> Child(Slots.size(), -1);
   std::vector<uint8_t> ChildTag(Slots.size(), 0);
 
@@ -765,7 +723,7 @@ void WorkerPool::templateMain(int CtlFd) {
       }
     }
 
-    // Dispatch every complete command in arrival (= commit) order.
+    // Dispatch every complete command in arrival order.
     size_t Pos = 0;
     while (Buf.size() - Pos >= CmdHeaderBytes) {
       const uint8_t Op = Buf[Pos];
@@ -776,45 +734,7 @@ void WorkerPool::templateMain(int CtlFd) {
       const uint8_t *Payload = Buf.data() + Pos + CmdHeaderBytes;
       Pos += CmdHeaderBytes + static_cast<size_t>(PayloadLen);
 
-      if (Op == OpApply) {
-        // Replay one commit so our memory stays equal to committed state.
-        // A malformed command means the parent and template disagree about
-        // the protocol — unrecoverable, and exiting surfaces it as a pool
-        // fault the parent absorbs with cold forks.
-        ApplyCmdHeader Hdr;
-        if (PayloadLen < sizeof(Hdr))
-          _exit(13);
-        std::memcpy(&Hdr, Payload, sizeof(Hdr));
-        const uint8_t *P = Payload + sizeof(Hdr);
-        const size_t SlotBytes =
-            static_cast<size_t>(Hdr.NumSlots) *
-            sizeof(TxnContext::RedSlotState);
-        if (PayloadLen < sizeof(Hdr) + SlotBytes + sizeof(uint64_t))
-          _exit(13);
-        std::vector<TxnContext::RedSlotState> RedSlots(
-            static_cast<size_t>(Hdr.NumSlots));
-        if (SlotBytes != 0)
-          std::memcpy(RedSlots.data(), P, SlotBytes);
-        P += SlotBytes;
-        uint64_t LogBytes = 0;
-        std::memcpy(&LogBytes, P, sizeof(LogBytes));
-        P += sizeof(LogBytes);
-        if (PayloadLen !=
-            sizeof(Hdr) + SlotBytes + sizeof(uint64_t) + LogBytes)
-          _exit(13);
-        WriteLog Log;
-        if (!WriteLog::deserializeCompactChecked(
-                P, static_cast<size_t>(LogBytes), Log))
-          _exit(13);
-        Log.apply();
-        for (size_t I = 0; I != RedSlots.size(); ++I)
-          if (RedSlots[I].Active && RedSlots[I].Touched)
-            TxnContext::commitReductionSlot(Spec.Reductions[I],
-                                            RedSlots[I]);
-        if (Config.Allocator)
-          Config.Allocator->advanceBump(static_cast<unsigned>(Hdr.Worker),
-                                        Hdr.BumpOffset);
-      } else if (Op == OpFork) {
+      if (Op == OpFork) {
         ForkCmd Fork;
         if (PayloadLen != sizeof(Fork))
           _exit(13);
@@ -822,10 +742,24 @@ void WorkerPool::templateMain(int CtlFd) {
         const unsigned Slot = static_cast<unsigned>(Fork.Slot);
         if (Slot >= Slots.size())
           _exit(13);
-        // The parent only re-forks a slot it confirmed quiet, but be
-        // safe: a leftover child here must die before its successor runs.
+        // The slot's previous child — a resident the parent chose not to
+        // redispatch, or a straggler — must die before its successor runs.
         KillReap(Slot, /*Doorbell=*/false);
         ChildTag[Slot] = static_cast<uint8_t>(Fork.Attempt);
+        // Bring our memory to the fork's snapshot. Lapped (the parent's
+        // check raced a burst of commits) we can never get there: fail
+        // this chunk like a failed fork, then die so the parent's
+        // liveness poll replaces us with a template forked from itself.
+        if (catchUpCommits(Stream, Cur, Fork.Seq, Spec, Config) !=
+            CommitStream::ReadResult::Ok) {
+          writeDoorbell(Slots[Slot].DoorbellW,
+                        static_cast<uint8_t>(RingDoorbellAbnormal |
+                                             (ChildTag[Slot] &
+                                              RingDoorbellTagMask)));
+          for (unsigned I = 0; I != Child.size(); ++I)
+            KillReap(I, /*Doorbell=*/false);
+          _exit(StreamOverrunExitStatus);
+        }
         const pid_t Pid = ::fork();
         if (Pid < 0) {
           // Can't run the chunk: report an abnormal completion so the
@@ -861,7 +795,8 @@ void WorkerPool::templateMain(int CtlFd) {
                            Fork.First, Fork.Last, *Slots[Slot].Ring,
                            Slots[Slot].DoorbellW,
                            static_cast<uint8_t>(Fork.Attempt),
-                           AllowReuse ? Slots[Slot].WorkR : -1, Fork.Fault);
+                           AllowReuse ? Slots[Slot].WorkR : -1, Stream, Cur,
+                           Fork.Fault);
           // runWireChildRing never returns.
         }
         Child[Slot] = Pid;

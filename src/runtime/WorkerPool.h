@@ -6,32 +6,38 @@
 ///
 /// \file
 /// The fork engines' steady-state transport: a resident *template* process
-/// per run plus one shared-memory commit ring per worker slot.
+/// per run, one shared-memory commit ring per worker slot, and one commit
+/// stream shared by the whole pool.
 ///
 /// Fork-per-chunk pays twice per chunk: fork() must write-protect the full
 /// parent address space (and the parent then COW-faults its way back), and
 /// the commit message crosses a kernel pipe. The pool amortizes both. The
 /// parent forks the template once; the template is a small, quiescent
-/// process whose memory is kept equal to COMMITTED state by streaming
-/// every commit to it (write log, reduction slots, arena cursors) over a
-/// control pipe, in commit order. Per-chunk children are then re-forked
-/// FROM THE TEMPLATE on command and publish their ALTER4 records into
-/// their slot's CommitRing; only 1-byte doorbells cross pipes.
+/// process that forks the per-chunk children on command. Children publish
+/// their ALTER4/5 records into their slot's CommitRing; only 1-byte
+/// doorbells cross pipes.
+///
+/// Commit stream (parent -> every replica): the parent appends each
+/// validated commit (write log, reduction slots, arena cursor) once to a
+/// CommitStream sized by RingBytesPerSlot and mapped read-only in the
+/// template and its children. Every replica of committed state — the
+/// template and each resident child — keeps its own cursor and replays
+/// the records after it, in commit order, up to the sequence number its
+/// next command names: the template before each fork, a resident child
+/// before each chunk. So a child always starts a chunk on exactly the
+/// commits the parent had applied at dispatch, which is the snapshot the
+/// executors' SnapshotSeq logic assumes. The parent never waits for a
+/// replica: it checks before each command that the records the replica
+/// needs are still in the stream (CommitStream::holds) and otherwise
+/// replaces it; a replica lapped mid-replay exits with
+/// StreamOverrunExitStatus (a contained crash for a child, a template
+/// death for the template).
 ///
 /// Control protocol (parent -> template, framed commands, FIFO):
-///   Apply  — replay one commit into template memory. Because the pipe is
-///            FIFO, a Fork command sent after N commits forks a child that
-///            sees exactly those N commits — the same snapshot a cold fork
-///            taken at that moment would see, which is why the executors'
-///            SnapshotSeq logic carries over unchanged. The parent batches
-///            Apply commands and writes them in one go ahead of the next
-///            Fork or Kill (or once 64 KiB are pending), so the template is
-///            brought current only when it is about to fork, and the
-///            parent's commit lane pays no pipe write or template wakeup
-///            per commit.
-///   Fork   — fork a child for (slot, chunk, range, armed fault). The
-///            child runs runWireChildRing. If the slot's previous child is
-///            somehow still unreaped, it is killed and reaped first.
+///   Fork   — replay the stream through Seq, then fork a child for (slot,
+///            chunk, range, armed fault). The child runs runWireChildRing.
+///            If the slot's previous child is still around (resident, or
+///            somehow unreaped), it is killed and reaped first.
 ///   Kill   — SIGKILL + reap the slot's child (deadline enforcement).
 ///   EOF    — teardown: kill and reap every child, _exit.
 ///
@@ -46,29 +52,26 @@
 /// dropped.
 ///
 /// Fork-free steady state (pipeline engine): a ring child does not exit
-/// after publishing its record — it rings a Finish doorbell and blocks on
-/// its slot's WORK PIPE. If the chunk then commits, the parent dispatches
-/// the slot's next chunk to that same resident child with a single
-/// WireNextCmd write: no fork anywhere, by anyone. The child's memory is
-/// its fork-time snapshot plus its own committed (written-through)
-/// values, so the executor keeps the slot's fork-time SnapshotSeq and
-/// validation stays sound — the snapshot just ages, raising the abort
-/// odds on dependent loops exactly as ALTER's speculation model expects.
-/// Any abort, wire reject, crash, or fault on the slot leaves the commit
-/// gate closed and the next dispatch re-forks from the template (killing
-/// the stale resident first). Redispatch keeps the slot's attempt tag:
-/// Finish is provably the old chunk's last doorbell, so no stale byte can
-/// complete the new chunk, and the template's per-slot pid/tag bookkeeping
-/// stays valid for kills and crash reaps.
+/// after publishing its record — it restores its snapshot (suspendTxn plus
+/// an arena rollback), rings a Finish doorbell and blocks on its slot's
+/// WORK PIPE. Whatever becomes of that chunk (committed, aborted, or still
+/// parked for in-order retirement), the parent dispatches the slot's next
+/// chunk to that same resident child with a single WireNextCmd write; the
+/// child catches up from the stream and runs it: no fork anywhere, by
+/// anyone. The template forks only a slot's first child and replacements
+/// after a crash, a kill, a wire fault or a stream overrun. Redispatch
+/// keeps the slot's attempt tag: Finish is provably the old chunk's last
+/// doorbell, so no stale byte can complete the new chunk, and the
+/// template's per-slot pid/tag bookkeeping stays valid for kills and
+/// crash reaps.
 ///
 /// Every pool failure (template spawn failure, dead template, injected
 /// TemplatePoison) degrades the affected forks to the legacy cold
 /// pipe+fork path — never to a chunk failure. The pool respawns on the
 /// next warm fork; a respawn forks from the parent, whose memory IS
-/// committed state, so it needs no replay catch-up (and the pending batch
-/// is dropped). A template that dies while no command is being written is
-/// noticed through livenessFd(), which the engines poll alongside their
-/// chunk channels.
+/// committed state, so it starts at the stream's end. A template that
+/// dies while no command is being written is noticed through
+/// livenessFd(), which the engines poll alongside their chunk channels.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,9 +100,8 @@ struct ChunkChannel {
   /// the parent (pipe transport or pool fallback).
   bool Warm = false;
   /// Redispatched to the slot's resident child with no fork at all (the
-  /// fork-free steady state). Implies Warm. The executor must keep the
-  /// slot's fork-time SnapshotSeq: the child's memory predates every
-  /// commit since its original fork except its own.
+  /// fork-free steady state). Implies Warm. The child catches up to the
+  /// parent's commits at dispatch, so its snapshot is as fresh as a fork's.
   bool Reused = false;
   /// What the executor polls: the pipe read end (cold) or the slot's
   /// doorbell read end (warm; pool-owned, do not close).
@@ -119,19 +121,19 @@ struct ChunkChannel {
   uint64_t BytesCopied = 0;
 };
 
-/// One run's warm template process and its per-slot commit rings. Created
+/// One run's warm template process, its per-slot commit rings and its
+/// commit stream. Created
 /// by a fork engine when ExecutorConfig::Transport == TransportKind::Ring;
 /// ladder sub-runs construct fresh engines, so they get private pools and
 /// rings automatically.
 class WorkerPool {
 public:
-  /// Allocates the rings, doorbell pipes, and work pipes for \p NumSlots
-  /// worker slots. The template itself is forked lazily on the first warm
-  /// fork (and re-forked after a fault or a scheduled refresh).
-  /// \p AllowReuse enables the fork-free steady state (child redispatch);
-  /// only the pipeline engine may pass true — ForkJoin's round-local
-  /// validation cannot see commits older than the current round, which a
-  /// reused child's snapshot predates.
+  /// Allocates the commit stream and the rings, doorbell pipes, and work
+  /// pipes for \p NumSlots worker slots. The template itself is forked
+  /// lazily on the first warm fork (and re-forked after a fault or a
+  /// refresh). \p AllowReuse enables the fork-free steady state (child
+  /// redispatch); the pipeline engine passes true, ForkJoin false (it
+  /// forks every round's chunks fresh).
   WorkerPool(const LoopSpec &Spec, const ExecutorConfig &Config,
              unsigned NumSlots, bool AllowReuse);
 
@@ -139,45 +141,44 @@ public:
   /// straggling children, then exit) and reaps it.
   ~WorkerPool();
 
-  /// True when every slot's ring mapping and pipes came up. False after
-  /// resource exhaustion at construction (ENOMEM on a ring mmap, EMFILE on
-  /// a pipe) or a failed ring respawn in a hard retirement — a contained
-  /// outcome: warmFork refuses, and the owning engine should drop the pool
-  /// and run the whole loop on the cold pipe transport (counting a
-  /// TransportDowngrade).
+  /// True when the stream and every slot's ring mapping and pipes came up.
+  /// False after resource exhaustion at construction (ENOMEM on a ring or
+  /// stream mmap, EMFILE on a pipe) or a failed ring respawn in a hard
+  /// retirement — a contained outcome: warmFork refuses, and the owning
+  /// engine should drop the pool and run the whole loop on the cold pipe
+  /// transport (counting a TransportDowngrade).
   bool valid() const { return !Invalid; }
 
   /// Site code of the first setup failure when !valid(), matching the
-  /// ResourceFault trace-event convention: 0 = ring mmap, 1 = pipe setup.
+  /// ResourceFault trace-event convention: 0 = ring or stream mmap, 1 =
+  /// pipe setup.
   unsigned setupFaultSite() const { return FailSite; }
 
   WorkerPool(const WorkerPool &) = delete;
   WorkerPool &operator=(const WorkerPool &) = delete;
 
   /// Runs chunk \p Chunk on \p Slot and fills \p Ch: redispatches the
-  /// slot's resident child when that is sound (reuse allowed, the child is
-  /// alive and idle, and its previous chunk committed), otherwise forks
-  /// from the warm template. Returns false when the pool is unusable
-  /// (spawn failed, or the template died) — the caller falls back to a
-  /// cold fork. Handles the scheduled template refresh and counts a pool
-  /// fault on failure.
+  /// slot's resident child when there is one (reuse allowed, the child
+  /// rang Finish and is alive, its last record was not rejected, and the
+  /// stream still holds every commit it must replay), otherwise forks from
+  /// the warm template. Either way the child starts on every commit pushed
+  /// so far. Returns false when the pool is unusable (spawn failed, the
+  /// template died, or it fell behind the stream while other chunks are in
+  /// flight) — the caller falls back to a cold fork. Handles the template
+  /// refresh and counts a pool fault on failure.
   bool warmFork(unsigned Slot, int64_t Chunk, int64_t First, int64_t Last,
                 const ArmedFault &Fault, ChunkChannel &Ch);
 
-  /// Queues one validated commit for the template (write log, reduction
-  /// slots, arena cursor for arena index \p Worker). Call at the exact
-  /// point the parent applies the commit itself, before any later fork.
-  /// The commits travel in a batch written ahead of the next control
-  /// command (or once it reaches 64 KiB): the template is brought current
-  /// only when it is about to fork. No-op while the template is down (the
-  /// respawn resyncs wholesale).
-  /// \p Chunk identifies the committed chunk: when it matches the chunk
-  /// the slot most recently dispatched, the slot's resident child becomes
-  /// reuse-eligible — its written-through memory is now committed state.
-  /// (A stale commit retiring late from the InOrder buffer, after the
-  /// slot moved on to another chunk, must NOT mark the current occupant
-  /// clean; the chunk match is what prevents that.)
-  void pushCommit(unsigned Worker, int64_t Chunk, const ChildReport &Rep);
+  /// Appends one validated commit to the commit stream (write log,
+  /// reduction slots, arena cursor for arena index \p Worker). Call at the
+  /// exact point the parent applies the commit itself, before any later
+  /// dispatch: replicas catch up to the commits pushed before their
+  /// command.
+  void pushCommit(unsigned Worker, const ChildReport &Rep);
+
+  /// The parent rejected the record \p Slot's child published (wire
+  /// fault): never redispatch that child; the slot's next chunk re-forks.
+  void discardResident(unsigned Slot) { Slots[Slot].Discard = true; }
 
   /// Parent-side pump for a warm slot: drains doorbell bytes and the ring,
   /// and marks Ch.Done (and Abnormal) per the completion rules. Returns
@@ -199,9 +200,9 @@ public:
   /// Template liveness for the engines' poll loops: the control pipe's
   /// write end, or -1 while no template is up. Poll it with events 0: the
   /// kernel reports POLLERR once the template's read end is gone, i.e.
-  /// the template died. Batched commits mean the parent may not write to
-  /// the template for a long time, so this is how a death outside the
-  /// pool's control (killed, crashed) is noticed while chunks are waiting.
+  /// the template died. The parent writes to the template only to fork or
+  /// kill, so this is how a death outside the pool's control (killed,
+  /// crashed, lapped by the stream) is noticed while chunks are waiting.
   int livenessFd() const { return ControlFd; }
 
   uint64_t templateRefreshes() const { return Refreshes; }
@@ -235,9 +236,9 @@ private:
     bool TerminalSeen = true; // last occupant's terminal doorbell arrived
     bool RecordDone = true;   // last occupant's record arrived whole
     bool FinishSeen = false;  // the occupant rang Finish: resident + idle
-    bool LastCommitOk = false; // the occupant's own chunk committed
-    int64_t CurChunk = -1;     // chunk most recently dispatched here
-    unsigned ReuseChain = 0;   // consecutive redispatches of this child
+    bool Discard = false;     // the occupant's last record was rejected
+    /// Stream position the occupant reached for its current chunk.
+    CommitStream::Cursor Cursor;
   };
 
   void resetSlot(SlotState &S);
@@ -246,7 +247,6 @@ private:
   void retireTemplate();
   void killTemplateHard();
   bool sendCommand(uint8_t Op, const void *Payload, size_t Size);
-  bool flushBatch();
   bool anyInFlight() const;
   [[noreturn]] void templateMain(int ControlFd);
 
@@ -259,10 +259,12 @@ private:
   pid_t TemplatePid = -1;
   ChildRusage TemplateUsage; // summed over reaped template incarnations
   int ControlFd = -1; // parent's write end of the current template's pipe
-  /// OpApply commands pushed since the last control write. Dropped when
-  /// the template is retired or killed, so it is empty whenever a new one
-  /// is spawned: a template forked from the parent is already current.
-  std::vector<uint8_t> Batch;
+  /// Committed state for the replicas. Outlives template incarnations: a
+  /// respawn simply starts at its end.
+  CommitStream Stream;
+  /// Stream position the template reached (or will reach) for its latest
+  /// fork; its spawn position before the first.
+  CommitStream::Cursor TemplateCursor;
   unsigned CommitsSinceSpawn = 0;
   uint64_t Refreshes = 0;
   uint64_t Faults = 0;

@@ -10,7 +10,9 @@
 /// completion detection (wireFrameLooksComplete), rejection of torn and
 /// corrupted records through the checked decode, and cross-process
 /// visibility of the MAP_SHARED pages (a forked producer, the real
-/// deployment shape).
+/// deployment shape). Also the CommitStream broadcast in the other
+/// direction: in-order replay across wraparound, overrun detection for a
+/// lapped consumer, and a forked read-only consumer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -228,4 +230,142 @@ TEST(WireFrameTest, BitflippedRingRecordIsRejectedByCrc) {
   EXPECT_FALSE(decodeChildReport(Rec, Spec, Params, Rep, Error));
   EXPECT_NE(Error.find("CRC"), std::string::npos)
       << "rejection reason should name the CRC, got: " << Error;
+}
+
+//===----------------------------------------------------------------------===
+// CommitStream: the parent -> replicas broadcast of committed write logs
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// Appends a record whose payload is \p Len pattern bytes seeded by
+/// \p Seed, returning the payload.
+std::vector<uint8_t> appendPattern(CommitStream &Stream, size_t Len,
+                                   uint8_t Seed) {
+  const std::vector<uint8_t> Payload = patternBytes(Len, Seed);
+  Stream.append({{Payload.data(), Payload.size()}});
+  return Payload;
+}
+
+} // namespace
+
+TEST(CommitStreamTest, MappingStaysWithinTheByteBudget) {
+  const size_t Page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  CommitStream Small(Page);
+  ASSERT_TRUE(Small.valid());
+  EXPECT_LT(Small.capacity(), Page) << "the floor header shares the page";
+  CommitStream Odd(3 * Page + 100);
+  EXPECT_LT(Odd.capacity(), 3 * Page);
+  EXPECT_GT(Odd.capacity(), 2 * Page);
+}
+
+TEST(CommitStreamTest, ConsumersReplayRecordsInOrderAcrossWraparound) {
+  // Two consumers at different speeds over many wraps: each sees every
+  // record, byte-exact and in sequence, as long as it keeps up.
+  CommitStream Stream(4096);
+  ASSERT_TRUE(Stream.valid());
+  CommitStream::Cursor Fast, Slow;
+  std::vector<std::vector<uint8_t>> Sent;
+  std::vector<uint8_t> Got;
+  for (unsigned I = 0; I != 200; ++I) {
+    // Pieces of one record are concatenated, and odd lengths exercise
+    // the 8-byte padding.
+    const std::vector<uint8_t> A = patternBytes(100 + I % 13, uint8_t(I));
+    const std::vector<uint8_t> B = patternBytes(I % 7, uint8_t(I + 1));
+    Stream.append({{A.data(), A.size()}, {B.data(), B.size()}});
+    std::vector<uint8_t> Whole = A;
+    Whole.insert(Whole.end(), B.begin(), B.end());
+    Sent.push_back(Whole);
+    ASSERT_EQ(Stream.next(Fast, Got), CommitStream::ReadResult::Ok);
+    EXPECT_EQ(Got, Whole);
+    EXPECT_EQ(Fast.Seq, I + 1);
+    if (I % 3 == 2)
+      while (Slow.Seq != Fast.Seq) {
+        ASSERT_TRUE(Stream.holds(Slow));
+        ASSERT_EQ(Stream.next(Slow, Got), CommitStream::ReadResult::Ok);
+        EXPECT_EQ(Got, Sent[Slow.Seq - 1]);
+      }
+  }
+  EXPECT_EQ(Fast.Pos, Stream.end().Pos);
+  EXPECT_EQ(Stream.end().Seq, 200u);
+}
+
+TEST(CommitStreamTest, LappedConsumerSeesOverrun) {
+  CommitStream Stream(4096);
+  CommitStream::Cursor Lagging;
+  appendPattern(Stream, 1000, 1);
+  EXPECT_TRUE(Stream.holds(Lagging));
+  for (uint8_t I = 0; I != 8; ++I)
+    appendPattern(Stream, 1000, I);
+  EXPECT_FALSE(Stream.holds(Lagging));
+  std::vector<uint8_t> Got;
+  EXPECT_EQ(Stream.next(Lagging, Got), CommitStream::ReadResult::Overrun);
+  // A consumer that started late enough is unaffected.
+  CommitStream::Cursor Current = Stream.end();
+  const std::vector<uint8_t> Last = appendPattern(Stream, 1000, 77);
+  EXPECT_TRUE(Stream.holds(Current));
+  ASSERT_EQ(Stream.next(Current, Got), CommitStream::ReadResult::Ok);
+  EXPECT_EQ(Got, Last);
+}
+
+TEST(CommitStreamTest, RecordLargerThanTheStreamLapsEveryoneBehindIt) {
+  CommitStream Stream(4096);
+  const CommitStream::Cursor Before = Stream.end();
+  appendPattern(Stream, 2 * Stream.capacity(), 3);
+  EXPECT_FALSE(Stream.holds(Before)) << "nobody can replay that record";
+  CommitStream::Cursor C = Before;
+  std::vector<uint8_t> Got;
+  EXPECT_EQ(Stream.next(C, Got), CommitStream::ReadResult::Overrun);
+  // Records after it are fine for consumers that start after it.
+  CommitStream::Cursor After = Stream.end();
+  const std::vector<uint8_t> Small = appendPattern(Stream, 64, 9);
+  ASSERT_EQ(Stream.next(After, Got), CommitStream::ReadResult::Ok);
+  EXPECT_EQ(Got, Small);
+}
+
+TEST(CommitStreamTest, MisplacedCursorIsCorruptNotOk) {
+  CommitStream Stream(4096);
+  appendPattern(Stream, 64, 1);
+  appendPattern(Stream, 64, 2);
+  CommitStream::Cursor Wrong;
+  Wrong.Seq = 1; // claims one record applied but points at the first
+  std::vector<uint8_t> Got;
+  EXPECT_EQ(Stream.next(Wrong, Got), CommitStream::ReadResult::Corrupt);
+}
+
+TEST(CommitStreamTest, ForkedConsumerReadsRecordsAppendedAfterTheFork) {
+  // The deployment shape: the consumer is forked first (read-only
+  // mapping), the parent appends afterwards, and the child replays from
+  // the cursor it inherited.
+  CommitStream Stream(1 << 16);
+  const CommitStream::Cursor AtFork = Stream.end();
+  int Go[2];
+  ASSERT_EQ(::pipe(Go), 0);
+  const pid_t Pid = ::fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    Stream.protectReadOnly();
+    uint8_t Byte;
+    if (::read(Go[0], &Byte, 1) != 1)
+      _exit(2);
+    CommitStream::Cursor C = AtFork;
+    std::vector<uint8_t> Got;
+    for (uint8_t I = 0; I != 10; ++I) {
+      if (Stream.next(C, Got) != CommitStream::ReadResult::Ok)
+        _exit(3);
+      if (Got != patternBytes(500, I))
+        _exit(4);
+    }
+    _exit(0);
+  }
+  for (uint8_t I = 0; I != 10; ++I)
+    appendPattern(Stream, 500, I);
+  const uint8_t Byte = 1;
+  ASSERT_EQ(::write(Go[1], &Byte, 1), 1);
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
+  ::close(Go[0]);
+  ::close(Go[1]);
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0);
 }

@@ -30,8 +30,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "memory/AlterAllocator.h"
 #include "runtime/PipelineExecutor.h"
 #include "runtime/TxnWire.h"
+#include "support/FaultInjection.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -42,6 +44,7 @@
 #include <ctime>
 #include <numeric>
 #include <set>
+#include <sys/mman.h>
 #include <unistd.h>
 #include <vector>
 
@@ -705,9 +708,11 @@ TEST_P(PipelineWorkload, ValidatesUnderTls) {
 }
 
 TEST_P(PipelineWorkload, ValidatesWhenEveryOtherDispatchForks) {
-  // MaxChildReuse = 1 sends every other chunk through a fresh template
-  // fork, so each of those forks first replays the commits batched since
-  // the previous one: the template must be exactly current at each.
+  // A child killed on every other chunk (one-shot, so each retry runs
+  // clean) sends those chunks' slots through a fresh template fork, which
+  // first replays the commit stream from the template's last fork, while
+  // the surviving residents replay it before each redispatch: both kinds
+  // of replica must be exactly current at every chunk.
   auto Ref = makeWorkload(GetParam());
   Ref->setUp(0);
   Ref->runSequential();
@@ -720,13 +725,18 @@ TEST_P(PipelineWorkload, ValidatesWhenEveryOtherDispatchForks) {
   Config.Params = W->resolveAnnotation(*W->paperAnnotation());
   Config.Allocator = W->allocator();
   Config.Transport = TransportKind::Ring;
-  Config.MaxChildReuse = 1;
+  FaultPlan::global().clear();
+  for (int64_t Chunk = 0; Chunk < 64; Chunk += 2)
+    FaultPlan::global().arm(FaultKind::ChildKill, Chunk, /*Sticky=*/false);
   PipelineExecutor Exec(Config);
   ExecutorLoopRunner Runner(Exec);
   W->run(Runner);
+  FaultPlan::global().clear();
   const RunResult &R = Runner.result();
   ASSERT_TRUE(R.succeeded()) << R.Detail;
   EXPECT_TRUE(W->validate(RefSig));
+  EXPECT_GT(R.Stats.NumChildCrashes, 0u) << "the kills must have struck";
+  EXPECT_GT(R.Stats.ChildReuses, 0u) << "survivors must be redispatched";
   EXPECT_GT(R.Stats.WarmForks, R.Stats.ChildReuses)
       << "template forks must have happened between the reuses";
 }
@@ -843,36 +853,11 @@ TEST(TransportTest, PipelinedRedispatchKeepsDisjointOutputExact) {
     EXPECT_EQ(Data[static_cast<size_t>(I)], I * 5 + 2);
 }
 
-TEST(TransportTest, MaxChildReuseZeroDisablesRedispatch) {
-  // The kill switch: MaxChildReuse = 0 falls back to one fork per chunk
-  // (still warm, from the template) with identical output.
-  constexpr int64_t N = 64;
-  std::vector<int64_t> Data(N, -1);
-  LoopSpec Spec;
-  Spec.NumIterations = N;
-  Spec.Body = [&Data](TxnContext &Ctx, int64_t I) {
-    Ctx.store(&Data[static_cast<size_t>(I)], I * 5 + 2);
-  };
-  ExecutorConfig Config;
-  Config.NumWorkers = 4;
-  Config.Params.ChunkFactor = 2;
-  Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
-  Config.Transport = TransportKind::Ring;
-  Config.MaxChildReuse = 0;
-  PipelineExecutor Exec(Config);
-  const RunResult R = Exec.run(Spec);
-  ASSERT_TRUE(R.succeeded()) << R.Detail;
-  EXPECT_EQ(R.Stats.ChildReuses, 0u);
-  EXPECT_GT(R.Stats.warmForkRate(), 0.9)
-      << "disabling reuse must not degrade forks to cold";
-  for (int64_t I = 0; I != N; ++I)
-    EXPECT_EQ(Data[static_cast<size_t>(I)], I * 5 + 2);
-}
-
-TEST(TransportTest, ReuseChainsAreBoundedByMaxChildReuse) {
-  // MaxChildReuse = 1 allows each forked child at most one redispatch, so
-  // reuses can never outnumber the real template forks. This is the bound
-  // that caps snapshot staleness (and with it conflict-epoch retention).
+TEST(TransportTest, KilledResidentsAreReplacedBetweenRedispatches) {
+  // Kills on alternate chunks force a template fork into the struck
+  // slots, so forks and redispatches interleave throughout the run: every
+  // replacement must start on the commits so far, exactly like the
+  // residents it sits beside.
   constexpr int64_t N = 64;
   std::vector<int64_t> Data(N, -1);
   LoopSpec Spec;
@@ -885,22 +870,30 @@ TEST(TransportTest, ReuseChainsAreBoundedByMaxChildReuse) {
   Config.Params.ChunkFactor = 2;
   Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
   Config.Transport = TransportKind::Ring;
-  Config.MaxChildReuse = 1;
+  FaultPlan::global().clear();
+  for (int64_t Chunk = 1; Chunk < N / 2; Chunk += 2)
+    FaultPlan::global().arm(FaultKind::ChildKill, Chunk, /*Sticky=*/false);
   PipelineExecutor Exec(Config);
   const RunResult R = Exec.run(Spec);
+  const size_t Pending = FaultPlan::global().pendingCount();
+  FaultPlan::global().clear();
   ASSERT_TRUE(R.succeeded()) << R.Detail;
+  EXPECT_EQ(Pending, 0u) << "every armed kill must have struck";
+  EXPECT_EQ(R.Stats.NumChildCrashes, static_cast<uint64_t>(N / 4));
   EXPECT_GT(R.Stats.ChildReuses, 0u);
-  EXPECT_LE(R.Stats.ChildReuses, R.Stats.WarmForks - R.Stats.ChildReuses)
-      << "a chain of length 1 means at most one reuse per actual fork";
+  EXPECT_GT(R.Stats.WarmForks - R.Stats.ChildReuses, 4u)
+      << "killed residents are replaced by template forks";
   for (int64_t I = 0; I != N; ++I)
     EXPECT_EQ(Data[static_cast<size_t>(I)], I * 7 + 3);
 }
 
 TEST(TransportTest, ConflictHeavyLoopStaysCorrectUnderReuse) {
   // Every iteration read-modify-writes one shared accumulator, so chunks
-  // abort constantly. An aborted child's memory holds uncommitted writes
-  // and must never be redispatched (the commit gate forces a re-fork);
-  // if poisoned memory ever leaked into a commit, the sum would be wrong.
+  // abort constantly. A resident child rolls its memory back to its
+  // snapshot after every chunk and catches up from the commit stream
+  // before the next, so it re-runs aborted chunks in place; the sum must
+  // stay exact through all of it. (The aborted-writes test below covers
+  // writes that no later commit would overwrite.)
   constexpr int64_t N = 48;
   int64_t Acc = 0;
   LoopSpec Spec;
@@ -934,6 +927,235 @@ TEST(TransportTest, TemplateRefreshHonorsCommitBudget) {
       << "32 chunks at a 4-commit budget must refresh repeatedly";
   EXPECT_GT(R.Stats.warmForkRate(), 0.9)
       << "refreshes re-fork the template, they do not degrade to cold";
+}
+
+TEST(TransportTest, ConflictHeavyLoopForksOnlyOncePerSlot) {
+  // The same conflict storm: with no fault armed, every abort is rolled
+  // back inside its resident child, so the template forks exactly one
+  // child per slot for the whole run and everything else is redispatch.
+  constexpr int64_t N = 48;
+  int64_t Acc = 0;
+  LoopSpec Spec;
+  Spec.NumIterations = N;
+  Spec.Body = [&Acc](TxnContext &Ctx, int64_t I) {
+    Ctx.store(&Acc, Ctx.load(&Acc) + I + 1);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = 4;
+  Config.Params.ChunkFactor = 2;
+  Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
+  Config.Transport = TransportKind::Ring;
+  PipelineExecutor Exec(Config);
+  const RunResult R = Exec.run(Spec);
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  EXPECT_GT(R.Stats.NumRetries, 0u);
+  EXPECT_EQ(Acc, N * (N + 1) / 2);
+  EXPECT_EQ(R.Stats.ColdForks, 0u);
+  EXPECT_EQ(R.Stats.WarmForks - R.Stats.ChildReuses, 4u)
+      << "real forks must be one per slot: aborts re-run in place";
+}
+
+/// Disjoint loop whose every chunk writes \p WordsPerIter words per
+/// iteration, so its commit records have a predictable size.
+RunResult runWideDisjoint(std::vector<int64_t> &Data, unsigned Workers,
+                          int64_t WordsPerIter, size_t StreamBytes) {
+  constexpr int64_t N = 24;
+  Data.assign(static_cast<size_t>(N * WordsPerIter), -1);
+  LoopSpec Spec;
+  Spec.NumIterations = N;
+  Spec.Body = [&Data, WordsPerIter](TxnContext &Ctx, int64_t I) {
+    for (int64_t K = 0; K != WordsPerIter; ++K)
+      Ctx.store(&Data[static_cast<size_t>(I * WordsPerIter + K)], I * K + 1);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = Workers;
+  Config.Params.ChunkFactor = 1;
+  Config.Params.CommitOrder = CommitOrderPolicy::OutOfOrder;
+  Config.Transport = TransportKind::Ring;
+  Config.RingBytesPerSlot = StreamBytes;
+  PipelineExecutor Exec(Config);
+  return Exec.run(Spec);
+}
+
+void expectWideDisjointOutput(const std::vector<int64_t> &Data,
+                              int64_t WordsPerIter) {
+  for (size_t J = 0; J != Data.size(); ++J) {
+    const int64_t I = static_cast<int64_t>(J) / WordsPerIter;
+    const int64_t K = static_cast<int64_t>(J) % WordsPerIter;
+    ASSERT_EQ(Data[J], I * K + 1) << "word " << J;
+  }
+}
+
+TEST(TransportTest, StreamOverrunReplacesResidentsAndTemplate) {
+  // A one-page stream cannot hold a single one of these commits (each
+  // writes 1000 words), so from the first commit on every replica is
+  // lapped: no resident can be redispatched, and a template fork needs a
+  // fresh template — forked from the parent when nothing is in flight,
+  // a cold fork otherwise. The output must not notice.
+  std::vector<int64_t> Data;
+  const RunResult R = runWideDisjoint(Data, /*Workers=*/3,
+                                      /*WordsPerIter=*/1000,
+                                      /*StreamBytes=*/4096);
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  expectWideDisjointOutput(Data, 1000);
+  EXPECT_EQ(R.Stats.ChildReuses, 0u) << "every resident was lapped";
+  EXPECT_GT(R.Stats.TemplateRefreshes + R.Stats.ColdForks, 0u)
+      << "the lapped template must have been replaced or bypassed";
+  EXPECT_EQ(R.Stats.NumChildCrashes, 0u)
+      << "the parent sees a lapped replica before dispatching to it";
+}
+
+TEST(TransportTest, ResidentCatchUpSurvivesStreamWraparound) {
+  // The other side of the same bound: with one worker a resident only
+  // ever lags by its own last commit, which fits, so it replays every
+  // commit across many wraparounds of the small stream and is never
+  // replaced.
+  std::vector<int64_t> Data;
+  const RunResult R = runWideDisjoint(Data, /*Workers=*/1,
+                                      /*WordsPerIter=*/100,
+                                      /*StreamBytes=*/4096);
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  expectWideDisjointOutput(Data, 100);
+  EXPECT_EQ(R.Stats.WarmForks - R.Stats.ChildReuses, 1u);
+  EXPECT_EQ(R.Stats.TemplateRefreshes, 0u);
+}
+
+TEST(TransportTest, AbortedWritesDoNotSurviveInTheResidentChild) {
+  // Insert-if-absent into a set of flags, counting insertions in one
+  // shared counter: the counter makes most chunks abort, and an aborted
+  // attempt has already set its flags. A resident child that kept those
+  // writes would see its own flags on the retry, skip the insertions, and
+  // commit a count that is short — nothing committed later overwrites a
+  // flag the parent never saw set.
+  constexpr int64_t N = 480;
+  constexpr int64_t Keys = 160;
+  std::vector<int64_t> Flag(Keys, 0);
+  int64_t Count = 0;
+  LoopSpec Spec;
+  Spec.NumIterations = N;
+  Spec.Body = [&Flag, &Count](TxnContext &Ctx, int64_t I) {
+    int64_t *F = &Flag[static_cast<size_t>((I * 7) % Keys)];
+    if (Ctx.load(F) == 0) {
+      Ctx.store(F, int64_t(1));
+      Ctx.store(&Count, Ctx.load(&Count) + 1);
+    }
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = 3;
+  Config.Params.ChunkFactor = 8;
+  Config.Params.CommitOrder = CommitOrderPolicy::OutOfOrder;
+  Config.Transport = TransportKind::Ring;
+  PipelineExecutor Exec(Config);
+  const RunResult R = Exec.run(Spec);
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  EXPECT_GT(R.Stats.NumRetries, 0u);
+  EXPECT_GT(R.Stats.ChildReuses, 0u);
+  EXPECT_EQ(Count, Keys);
+  for (int64_t K = 0; K != Keys; ++K)
+    EXPECT_EQ(Flag[static_cast<size_t>(K)], 1) << "key " << K;
+}
+
+TEST(TransportTest, AbortedAllocationsAreRolledBackInTheResidentChild) {
+  // Every iteration allocates a node and pushes it onto one shared list,
+  // so most chunks abort after allocating. A resident child rolls its
+  // arena cursor back with its memory and advances it again only by
+  // replaying committed records: the list must hold every node exactly
+  // once, intact, and the arenas must hold nothing but those nodes.
+  struct Node {
+    int64_t Value;
+    Node *Next;
+  };
+  constexpr int64_t N = 48;
+  constexpr unsigned Workers = 3;
+  AlterAllocator Alloc(Workers, 1 << 20);
+  size_t NodeBytes = 0;
+  {
+    AlterAllocator Probe(1, 1 << 20);
+    Probe.allocate(1, sizeof(Node));
+    NodeBytes = Probe.bumpOffset(1);
+  }
+  Node *Head = nullptr;
+  LoopSpec Spec;
+  Spec.NumIterations = N;
+  Spec.Body = [&Head](TxnContext &Ctx, int64_t I) {
+    Node *Fresh = static_cast<Node *>(Ctx.allocate(sizeof(Node)));
+    Ctx.storeInit(&Fresh->Value, I);
+    Ctx.storeInit(&Fresh->Next, Ctx.load(&Head));
+    Ctx.store(&Head, Fresh);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = Workers;
+  Config.Params.ChunkFactor = 2;
+  Config.Params.CommitOrder = CommitOrderPolicy::OutOfOrder;
+  Config.Allocator = &Alloc;
+  Config.Transport = TransportKind::Ring;
+  PipelineExecutor Exec(Config);
+  const RunResult R = Exec.run(Spec);
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  EXPECT_GT(R.Stats.NumRetries, 0u) << "the shared head must conflict";
+  EXPECT_GT(R.Stats.ChildReuses, 0u) << "aborts must re-run in place";
+
+  std::set<int64_t> Values;
+  std::set<const Node *> Nodes;
+  for (const Node *P = Head; P && Nodes.size() <= N; P = P->Next) {
+    Nodes.insert(P);
+    Values.insert(P->Value);
+  }
+  EXPECT_EQ(Nodes.size(), static_cast<size_t>(N));
+  EXPECT_EQ(Values.size(), static_cast<size_t>(N));
+  if (!Values.empty()) {
+    EXPECT_EQ(*Values.begin(), 0);
+    EXPECT_EQ(*Values.rbegin(), N - 1);
+  }
+  size_t ArenaBytes = 0;
+  for (unsigned W = 1; W <= Workers; ++W)
+    ArenaBytes += Alloc.bumpOffset(W);
+  EXPECT_EQ(ArenaBytes, static_cast<size_t>(N) * NodeBytes)
+      << "an aborted chunk's allocations must not stay in its arena";
+}
+
+TEST(TransportTest, InOrderRedispatchesWhileAChunkIsParked) {
+  // Chunk 0 sleeps, so the chunks after it complete first and park for
+  // in-order retirement. With no allocator their slot need not stay
+  // reserved: the resident is redispatched at once and works ahead. The
+  // later chunks count themselves in shared memory; chunk 0 reads the
+  // count when it wakes.
+  void *Mem = ::mmap(nullptr, 2 * sizeof(int64_t), PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(Mem, MAP_FAILED);
+  int64_t *Done = static_cast<int64_t *>(Mem);
+  int64_t *SeenByChunk0 = Done + 1;
+  *Done = 0;
+  *SeenByChunk0 = -1;
+  constexpr int64_t N = 12;
+  std::vector<int64_t> Data(N, -1);
+  LoopSpec Spec;
+  Spec.NumIterations = N;
+  Spec.Body = [&Data, Done, SeenByChunk0](TxnContext &Ctx, int64_t I) {
+    if (I == 0) {
+      sleepMs(300);
+      __atomic_store_n(SeenByChunk0, __atomic_load_n(Done, __ATOMIC_SEQ_CST),
+                       __ATOMIC_SEQ_CST);
+    }
+    Ctx.store(&Data[static_cast<size_t>(I)], I * 11 + 5);
+    if (I != 0)
+      __atomic_add_fetch(Done, 1, __ATOMIC_SEQ_CST);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = 2;
+  Config.Params.ChunkFactor = 1;
+  Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
+  Config.Transport = TransportKind::Ring;
+  PipelineExecutor Exec(Config);
+  const RunResult R = Exec.run(Spec);
+  const int64_t Seen = __atomic_load_n(SeenByChunk0, __ATOMIC_SEQ_CST);
+  ::munmap(Mem, 2 * sizeof(int64_t));
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  EXPECT_GE(Seen, 2) << "the second slot must run past its parked chunk";
+  EXPECT_GE(R.Stats.ChildReuses, 2u);
+  EXPECT_TRUE(std::is_sorted(R.CommitOrder.begin(), R.CommitOrder.end()));
+  for (int64_t I = 0; I != N; ++I)
+    EXPECT_EQ(Data[static_cast<size_t>(I)], I * 11 + 5);
 }
 
 } // namespace

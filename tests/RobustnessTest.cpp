@@ -813,6 +813,54 @@ TEST(PoolFaultMatrixTest, TemplateKilledFromAWarmChildRequeuesItsChunks) {
   }
 }
 
+TEST(PoolFaultMatrixTest, RollbackCatchUpAndFaultReforksInterleave) {
+  // A conflict storm with a kill, a bit flip and a truncation armed: the
+  // struck slots re-fork from the template (a killed child is gone, a
+  // rejected record discards its resident) while the other slots keep
+  // rolling back aborted chunks in place and catching up from the commit
+  // stream. The shared sum is exact only if every replica, forked or
+  // resident, starts each chunk on exactly the committed state.
+  constexpr int64_t N = 60;
+  int64_t Acc = 0;
+  LoopSpec Spec;
+  Spec.NumIterations = N;
+  Spec.Body = [&Acc](TxnContext &Ctx, int64_t I) {
+    Ctx.store(&Acc, Ctx.load(&Acc) + I + 1);
+  };
+  for (CommitOrderPolicy Order :
+       {CommitOrderPolicy::InOrder, CommitOrderPolicy::OutOfOrder}) {
+    SCOPED_TRACE(commitOrderPolicyName(Order));
+    Acc = 0;
+    FaultPlan::global().clear();
+    FaultPlan::global().setSeed(5);
+    FaultPlan::global().arm(FaultKind::ChildKill, /*Chunk=*/3,
+                            /*Sticky=*/false);
+    FaultPlan::global().arm(FaultKind::BitFlip, /*Chunk=*/7,
+                            /*Sticky=*/false);
+    FaultPlan::global().arm(FaultKind::PipeTruncate, /*Chunk=*/11,
+                            /*Sticky=*/false);
+    ExecutorConfig Config;
+    Config.NumWorkers = 3;
+    Config.Params.ChunkFactor = 2;
+    Config.Params.Conflict = ConflictPolicy::RAW;
+    Config.Params.CommitOrder = Order;
+    Config.Transport = TransportKind::Ring;
+    const RunResult R = PipelineExecutor(Config).run(Spec);
+    EXPECT_EQ(FaultPlan::global().pendingCount(), 0u)
+        << "every armed fault must have struck";
+    FaultPlan::global().clear();
+    ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
+    EXPECT_EQ(Acc, N * (N + 1) / 2);
+    EXPECT_GT(R.Stats.NumRetries, 0u);
+    EXPECT_EQ(R.Stats.NumChildCrashes, 1u);
+    EXPECT_EQ(R.Stats.NumWireRejects, 2u);
+    EXPECT_GT(R.Stats.ChildReuses, 0u);
+    EXPECT_GE(R.Stats.WarmForks - R.Stats.ChildReuses, 3u + 3u)
+        << "one template fork per slot, plus one per struck chunk";
+    EXPECT_EQ(liveChildrenOfSelf(), "") << "no child may be leaked";
+  }
+}
+
 TEST(PoolFaultMatrixTest, StickyPoisonRunsEveryForkColdAndStillSucceeds) {
   FaultPlan::global().clear();
   FaultPlan::global().arm(FaultKind::TemplatePoison, /*Chunk=*/0,

@@ -456,6 +456,35 @@ bool histogramsEqual(const LatencyHistogram &A, const LatencyHistogram &B) {
 
 } // namespace
 
+TEST(RunnerMetricsTest, RecoveringRunnerCarriesEngineMetrics) {
+  // Runner-driven runs (every bench and the figure binaries) fold each
+  // invocation's result into one: the metrics registry and the timeline
+  // must come along with the stats, not be dropped on the floor.
+  std::vector<int64_t> Data(32, 0);
+  LoopSpec Spec;
+  Spec.NumIterations = 32;
+  Spec.Body = [&Data](TxnContext &Ctx, int64_t I) {
+    Ctx.store(&Data[static_cast<size_t>(I)], I + 1);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = 2;
+  Config.Params.ChunkFactor = 4;
+  Config.Schedule = SchedulePolicy::Chunked;
+  Config.Metrics = true;
+  RecoveringLoopRunner Runner(ParallelEngine::Pipeline, Config);
+  for (int Invocation = 0; Invocation != 2; ++Invocation)
+    ASSERT_TRUE(Runner.runInner(Spec));
+  const RunResult &R = Runner.result();
+  ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
+  EXPECT_GT(R.Metrics.counter(CounterId::ChildChunks), 0u);
+  EXPECT_EQ(R.Metrics.counter(CounterId::ParentCommits),
+            R.Stats.NumCommitted);
+  EXPECT_GT(R.Stats.NumCommitted, 0u);
+  EXPECT_EQ(R.Metrics.histogram(HistogramId::ChunkExecNs).Count,
+            R.Stats.NumTransactions);
+  EXPECT_FALSE(R.Timeline.empty());
+}
+
 TEST(MetricsHistogramTest, MergeIsAssociativeAndCommutative) {
   // Parent-side merge order over child registries is arrival order, which
   // is nondeterministic — so the merge must not care. (A merge B) merge C
