@@ -79,8 +79,8 @@ int main(int argc, char **argv) {
               "procs); manual parallelization 20-47% faster than ALTER");
 
   // The threaded fine-grained-lock K-means (§7.3) really exists — verify
-  // it computes the same clustering (its speedup series is modeled on
-  // this single-core container).
+  // it computes the same clustering (its speedup series above is modeled,
+  // like every series of this figure).
   {
     KmeansWorkload Seq;
     Seq.setUp(3);

@@ -211,7 +211,8 @@ fault_stage() { # fault_stage <build-dir>
   local ROBUSTNESS="$DIR/tests/robustness_test"
 
   echo "== fault smoke: ladder + fault-matrix tests ($DIR) =="
-  "$ROBUSTNESS" --gtest_filter='DegradationLadderTest.*:FaultMatrixTest.*' \
+  "$ROBUSTNESS" \
+    --gtest_filter='DegradationLadderTest.*:FaultMatrixTest.*:*/FaultMatrixWorkloadTest.*' \
     --gtest_brief=1
 
   echo "== fault smoke: env-armed plans drive the ladder ($DIR) =="

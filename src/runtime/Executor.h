@@ -123,32 +123,12 @@ struct ExecutorConfig {
   /// the Crash promptly.
   unsigned ChunkFaultRetryLimit = 2;
 
-  //===--------------------------------------------------------------------===
-  // Degradation-ladder supervision budgets (RecoveringLoopRunner)
-  //===--------------------------------------------------------------------===
-
-  /// Master switch for the ladder. Off: any unrecoverable Crash/Timeout
-  /// drops every uncommitted iteration straight to the full-tail
-  /// sequential fallback (the pre-ladder behavior).
+  /// Master switch for the degradation ladder (RecoveringLoopRunner).
+  /// Off: any unrecoverable Crash/Timeout drops every uncommitted
+  /// iteration straight to the full-tail sequential fallback (the
+  /// pre-ladder behavior). The tiers' own budgets are fixed in
+  /// LoopRunner.cpp.
   bool EnableSalvage = true;
-
-  /// Tier 1: how many solo speculative re-executions of the indicted chunk
-  /// to attempt before bisecting it.
-  unsigned SalvageAttempts = 2;
-
-  /// Tier 2: maximum recursive halvings of a failing range. Ranges still
-  /// failing at the depth limit (or at single-iteration width) are
-  /// quarantined.
-  unsigned BisectionDepthLimit = 16;
-
-  /// Base wait before the second and later tier-1 attempts; attempt A
-  /// sleeps (base << (A - 2)) plus a deterministic jitter in [0, base)
-  /// seeded by (SalvageSeed, chunk, attempt) — replays of the same plan
-  /// back off identically.
-  uint64_t SalvageBackoffNs = 200'000; // 0.2ms
-
-  /// Seed for the deterministic backoff jitter.
-  uint64_t SalvageSeed = 0x53414c56; // "SALV"
 
   //===--------------------------------------------------------------------===
   // Steady-state transport (WorkerPool + CommitRing)
@@ -200,10 +180,10 @@ struct ExecutorConfig {
 
   /// Metrics collection for this run (defaults to the ALTER_METRICS-derived
   /// process setting). When on, children record per-chunk latency/size
-  /// histograms and ship them in the ALTER5 METRICS wire section, the
+  /// histograms and ship them in the commit frame's METRICS section, the
   /// parent records validate/commit latencies and merges everything into
   /// RunResult::Metrics, and the timeline sampler below runs. When off,
-  /// children emit the byte-identical ALTER4 frames of previous releases.
+  /// the METRICS section is empty.
   bool Metrics = globalMetricsEnabled();
 
   /// Minimum trace-clock ns between timeline samples. Sampling piggybacks

@@ -22,6 +22,28 @@
 
 using namespace alter;
 
+namespace {
+
+/// Tier 1: how many solo speculative re-executions of the indicted chunk
+/// to attempt before bisecting it.
+constexpr unsigned SalvageAttempts = 2;
+
+/// Tier 2: maximum recursive halvings of a failing range. Ranges still
+/// failing at the depth limit (or at single-iteration width) are
+/// quarantined.
+constexpr unsigned BisectionDepthLimit = 16;
+
+/// Base wait before the second and later tier-1 attempts; attempt A sleeps
+/// (base << (A - 2)) plus a deterministic jitter in [0, base) seeded by
+/// (SalvageSeed, chunk, attempt) — replays of the same plan back off
+/// identically.
+constexpr uint64_t SalvageBackoffNs = 200'000; // 0.2ms
+
+/// Seed for the deterministic backoff jitter.
+constexpr uint64_t SalvageSeed = 0x53414c56; // "SALV"
+
+} // namespace
+
 std::unique_ptr<Executor> alter::makeParallelEngine(ParallelEngine Engine,
                                                     const ExecutorConfig &Config) {
   switch (Engine) {
@@ -507,7 +529,7 @@ void RecoveringLoopRunner::resolveChunk(const LoopSpec &Spec, int64_t Chunk,
   const int64_t Last = std::min<int64_t>(First + Cf, Spec.NumIterations);
   // Tier 1: the indicted chunk alone, speculatively, on a fresh solo
   // engine — a transient fault heals here without any sequential work.
-  for (unsigned Attempt = 1; Attempt <= Config.SalvageAttempts; ++Attempt) {
+  for (unsigned Attempt = 1; Attempt <= SalvageAttempts; ++Attempt) {
     if (budgetExpired())
       break;
     backoff(Chunk, Attempt);
@@ -525,7 +547,7 @@ void RecoveringLoopRunner::resolveChunk(const LoopSpec &Spec, int64_t Chunk,
 void RecoveringLoopRunner::bisect(const LoopSpec &Spec, int64_t Chunk,
                                   int64_t First, int64_t Last,
                                   unsigned Depth) {
-  if (Last - First <= 1 || Depth >= Config.BisectionDepthLimit ||
+  if (Last - First <= 1 || Depth >= BisectionDepthLimit ||
       budgetExpired()) {
     quarantineRange(Spec, Chunk, First, Last);
     return;
@@ -586,16 +608,15 @@ bool RecoveringLoopRunner::runRangeSolo(const LoopSpec &Spec, int64_t Chunk,
 }
 
 void RecoveringLoopRunner::backoff(int64_t Chunk, unsigned Attempt) {
-  if (Attempt < 2 || Config.SalvageBackoffNs == 0)
+  if (Attempt < 2)
     return;
-  const uint64_t Base = Config.SalvageBackoffNs
-                        << std::min(Attempt - 2u, 20u);
+  const uint64_t Base = SalvageBackoffNs << std::min(Attempt - 2u, 20u);
   // Jitter is a pure function of (seed, chunk, attempt): same-seed replays
   // back off identically, keeping whole-run traces deterministic.
-  SplitMix64 Rng(Config.SalvageSeed ^
+  SplitMix64 Rng(SalvageSeed ^
                  (static_cast<uint64_t>(Chunk) * 0x9e3779b97f4a7c15ULL) ^
                  Attempt);
-  const uint64_t WaitNs = Base + Rng.next() % Config.SalvageBackoffNs;
+  const uint64_t WaitNs = Base + Rng.next() % SalvageBackoffNs;
   struct timespec Ts;
   Ts.tv_sec = static_cast<time_t>(WaitNs / 1000000000ULL);
   Ts.tv_nsec = static_cast<long>(WaitNs % 1000000000ULL);

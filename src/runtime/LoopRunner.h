@@ -107,10 +107,10 @@ private:
 ///
 ///  - Tier 1 (salvage): the chunk the engine indicted (RunResult::
 ///    FailedChunk) is re-executed alone, speculatively, on a fresh solo
-///    executor forked from the committed snapshot — up to
-///    ExecutorConfig::SalvageAttempts times with deterministic exponential
-///    backoff. A transient fault heals here and the healthy tail re-runs
-///    in parallel.
+///    executor forked from the committed snapshot — up to SalvageAttempts
+///    (LoopRunner.cpp) times with deterministic exponential backoff. A
+///    transient fault heals here and the healthy tail re-runs in
+///    parallel.
 ///  - Tier 2 (bisection): a chunk that keeps failing solo is split
 ///    recursively; healthy halves commit speculatively, only the failing
 ///    fragment keeps shrinking (bounded by BisectionDepthLimit).

@@ -6,15 +6,9 @@
 
 #include "runtime/PipelineExecutor.h"
 
-#include "runtime/CommitJournal.h"
-#include "runtime/ConflictDetector.h"
+#include "runtime/ParentLane.h"
 #include "runtime/ShutdownSupervisor.h"
-#include "runtime/TraceSink.h"
-#include "runtime/TxnWire.h"
-#include "runtime/WorkerPool.h"
-#include "support/FaultInjection.h"
 #include "support/Format.h"
-#include "support/Subprocess.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -23,8 +17,6 @@
 #include <deque>
 #include <map>
 #include <poll.h>
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
 
@@ -74,13 +66,14 @@ PipelineExecutor::PipelineExecutor(ExecutorConfig Config)
 
 RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   assert(Spec.Body && "loop has no body");
-  RunResult Result;
-  Result.ScheduleUsed = ScheduleKind::Chunked;
-  const int64_t Cf = Config.Params.ChunkFactor > 0
-                         ? Config.Params.ChunkFactor
-                         : globalChunkFactor();
-  Result.ChunkFactorUsed = Cf;
-  const int64_t NumChunks = (Spec.NumIterations + Cf - 1) / Cf;
+  ParentLane Lane("pipeline", Spec, Config, ScheduleKind::Chunked,
+                  Config.Params.ChunkFactor > 0 ? Config.Params.ChunkFactor
+                                                : globalChunkFactor(),
+                  Config.Params.Conflict, LaneClock::Real);
+  RunStats &Stats = Lane.Stats;
+  ConflictDetector &Detector = Lane.Detector;
+  TraceSink &Sink = Lane.Sink;
+  const int64_t NumChunks = Lane.NumChunks;
   const unsigned P = Config.NumWorkers;
   const bool InOrder =
       Config.Params.CommitOrder == CommitOrderPolicy::InOrder;
@@ -100,43 +93,18 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   std::vector<Slot> Slots(P);
   std::map<int64_t, BufferedReport> Arrived; // InOrder retirement buffer
   std::map<int64_t, unsigned> RetryCount;
-  std::map<int64_t, unsigned> FaultCounts;
   int64_t NextToRetire = 0; // InOrder: the only chunk allowed to commit
   int64_t Committed = 0;
   int64_t DrainChunk = -1; // starvation guard target, -1 when inactive
 
-  ConflictDetector Detector(Config.Params.Conflict);
-  TraceSink Sink(Config.Trace);
-  // Steady-state transport: the warm template + per-slot commit rings.
-  // Pool faults degrade individual forks to the cold pipe path below.
-  std::unique_ptr<WorkerPool> Pool;
-  if (Config.Transport == TransportKind::Ring)
-    // Resident children replay the commit stream before each chunk, so a
-    // redispatch gets the same snapshot a fork would.
-    Pool = std::make_unique<WorkerPool>(Spec, Config, P,
-                                        /*AllowReuse=*/true);
-  if (Pool && !Pool->valid()) {
-    // Resource exhaustion while building the rings/pipes (ENOMEM/EMFILE):
-    // retreat to the cold pipe transport for this run instead of aborting.
-    ++Result.Stats.ResourceFaults;
-    ++Result.Stats.TransportDowngrades;
-    if (Sink.events()) {
-      Sink.event(TraceEventKind::ResourceFault, /*Worker=*/0, /*Chunk=*/-1,
-                 traceNowNs(), 0, /*Arg0=*/Pool->setupFaultSite());
-      Sink.event(TraceEventKind::Downgrade, /*Worker=*/0, /*Chunk=*/-1,
-                 traceNowNs(), 0, /*Arg0=*/0, /*Arg1=*/P);
-    }
-    Pool.reset();
-  }
-  ensureShutdownSupervisorInstalled();
+  // Resident children replay the commit stream before each chunk, so a
+  // redispatch gets the same snapshot a fork would.
+  Lane.startPool(/*AllowReuse=*/true);
+  WorkerPool *Pool = Lane.Pool.get();
   // Effective parallelism, shrunk (never below 1) when the environment
   // cannot even sustain the launches — see the all-fail sweep backoff.
   unsigned ActiveP = P;
   unsigned FailedSweeps = 0;
-  const uint64_t RealStart = nowNs();
-
-  bool Crashed = false;
-  std::string CrashDetail;
 
   auto runningSlots = [&] {
     uint64_t N = 0;
@@ -145,114 +113,28 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     return N;
   };
 
-  // Accumulate a reaped cold child's CPU time. Warm children are reaped by
-  // the template and arrive transitively via templateRusage() at the end.
-  auto addChildUsage = [&](const ChildRusage &Usage) {
-    Result.Stats.ChildUserNs += Usage.UserNs;
-    Result.Stats.ChildSysNs += Usage.SysNs;
-    Result.Stats.MaxChildRssBytes =
-        std::max(Result.Stats.MaxChildRssBytes, Usage.MaxRssBytes);
-  };
-
-  // Timeline sampler: piggybacks on the poll-wakeup dispatch point (and
-  // the finish path) under the MetricsSampleIntervalNs floor — no threads,
-  // zero clock reads when metrics are off.
-  uint64_t LastSampleNs = 0;
-  bool Sampled = false;
-  auto sampleTimeline = [&](bool Force) {
-    if (!Config.Metrics)
-      return;
-    const uint64_t Now = traceNowNs();
-    if (!Force && Sampled &&
-        Now - LastSampleNs < Config.MetricsSampleIntervalNs)
-      return;
-    Sampled = true;
-    LastSampleNs = Now;
-    TimelineSample TS;
-    TS.TimeNs = Now;
-    TS.Committed = Result.Stats.NumCommitted;
-    TS.Retries = Result.Stats.NumRetries;
-    TS.WarmForks = Result.Stats.WarmForks;
-    TS.ColdForks = Result.Stats.ColdForks;
-    TS.InflightChunks = runningSlots();
-    TS.RingDepthBytes = Pool ? Pool->ringDepthBytes() : 0;
-    TS.BusyNs = Result.Stats.WorkerBusyNs;
-    TS.SlotNs = (nowNs() - RealStart) * P;
-    Result.Timeline.push_back(TS);
-    Result.Metrics.addCounter(CounterId::TimelineSamples);
-    Result.Metrics.gaugeMax(GaugeId::PeakInflight, TS.InflightChunks);
-    Result.Metrics.gaugeMax(GaugeId::PeakRingDepthBytes, TS.RingDepthBytes);
-  };
-
-  // Called on every exit path, so the sink flushes into the result exactly
-  // once regardless of how the run ends.
-  auto finishStats = [&] {
-    Result.Stats.RealTimeNs = nowNs() - RealStart;
-    // Real parallel engine: the modeled clock is the real clock.
-    Result.Stats.SimTimeNs = Result.Stats.RealTimeNs;
-    Result.Stats.WorkerSlotNs = Result.Stats.RealTimeNs * P;
-    Result.Stats.BloomChecks = Detector.bloomChecks();
-    Result.Stats.BloomSkips = Detector.bloomSkips();
-    Result.Stats.BloomFalsePositives = Detector.bloomFalsePositives();
-    if (Pool) {
-      Result.Stats.TemplateRefreshes = Pool->templateRefreshes();
-      Result.Stats.PoolFaults = Pool->poolFaults();
-      Result.Stats.ChildReuses = Pool->childReuses();
-      if (!Pool->valid()) {
-        // The pool died mid-run (failed ring respawn under exhaustion):
-        // every later fork already degraded cold; account the downgrade.
-        ++Result.Stats.ResourceFaults;
-        ++Result.Stats.TransportDowngrades;
-      }
-      // Retire the template now (the destructor would, but too late to
-      // read the rusage): wait4 on it folds in the CPU time of every warm
-      // child it reaped, so the warm lineage is accounted transitively.
-      Pool->retire();
-      addChildUsage(Pool->templateRusage());
-    }
-    sampleTimeline(/*Force=*/true);
-    if (logEnabled(LogLevel::Info))
-      alterLog(LogLevel::Info, "run",
-               "event=run_done engine=pipeline schedule=%s status=%s "
-               "wall_ns=%llu occupancy=%.3f committed=%llu retries=%llu "
-               "warm_forks=%llu cold_forks=%llu reuses=%llu crashes=%llu "
-               "wire_rejects=%llu resource_faults=%llu cpu_user_ns=%llu "
-               "cpu_sys_ns=%llu",
-               scheduleKindName(Result.ScheduleUsed),
-               runStatusName(Result.Status),
-               static_cast<unsigned long long>(Result.Stats.RealTimeNs),
-               Result.Stats.occupancy(),
-               static_cast<unsigned long long>(Result.Stats.NumCommitted),
-               static_cast<unsigned long long>(Result.Stats.NumRetries),
-               static_cast<unsigned long long>(Result.Stats.WarmForks),
-               static_cast<unsigned long long>(Result.Stats.ColdForks),
-               static_cast<unsigned long long>(Result.Stats.ChildReuses),
-               static_cast<unsigned long long>(Result.Stats.NumChildCrashes),
-               static_cast<unsigned long long>(Result.Stats.NumWireRejects),
-               static_cast<unsigned long long>(Result.Stats.ResourceFaults),
-               static_cast<unsigned long long>(Result.Stats.ChildUserNs),
-               static_cast<unsigned long long>(Result.Stats.ChildSysNs));
-    Sink.finish(Result);
-  };
-
+  // Every exit but success: SIGKILL and reap every live child (the pool
+  // destructor tears down the template and its residents on return).
   auto killInFlight = [&] {
     for (unsigned I = 0; I != P; ++I) {
       Slot &S = Slots[I];
       if (S.St != Slot::State::Running)
         continue;
-      killChunkChild(Pool.get(), I, S.Ch);
+      killChunkChild(Pool, I, S.Ch);
       if (!S.Ch.Warm) {
         if (S.Ch.PollFd >= 0)
           ::close(S.Ch.PollFd);
         int Status = 0;
-        ChildRusage Usage;
-        if (waitpidRusage(S.Ch.DirectPid, &Status, &Usage) > 0)
-          addChildUsage(Usage);
+        Lane.reapPid(S.Ch.DirectPid, &Status);
       }
       // Warm children are the template's to reap; the pool teardown (or
       // the Kill command just sent) takes care of them.
       S.St = Slot::State::Free;
     }
+  };
+  auto stop = [&](RunStatus Status, std::string Detail) {
+    killInFlight();
+    return Lane.finish(Status, std::move(Detail));
   };
 
   auto insertPending = [&](int64_t Chunk) {
@@ -260,65 +142,18 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
                    Chunk);
   };
 
-  auto anyRunning = [&] {
-    for (const Slot &S : Slots)
-      if (S.St == Slot::State::Running)
-        return true;
-    return false;
-  };
-
   // Contained per-chunk failure: requeue for a clean retry, or — once the
-  // chunk has burned its fault budget — flag the whole run as a Crash the
-  // caller can recover from sequentially.
+  // chunk has burned its fault budget — fail the whole run with a Crash
+  // the caller can recover from sequentially.
   auto chunkFault = [&](int64_t Chunk, const std::string &Why) {
-    const unsigned Count = ++FaultCounts[Chunk];
-    if (Count > Config.ChunkFaultRetryLimit) {
-      Crashed = true;
-      Result.FailedChunk = Chunk;
-      CrashDetail =
-          strprintf("chunk %lld failed %u consecutive attempts (%s)",
-                    static_cast<long long>(Chunk), Count, Why.c_str());
-      return;
-    }
-    if (Sink.events())
-      Sink.event(TraceEventKind::FaultContained, /*Worker=*/0, Chunk,
-                 traceNowNs(), 0, /*Arg0=*/Count);
-    insertPending(Chunk);
+    if (Lane.chargeFault(Chunk, Why))
+      insertPending(Chunk);
   };
 
-  // Returns false when the chunk could not be launched (injected ForkFail,
-  // or a real pipe()/fork() failure); the chunk is requeued via chunkFault
-  // and the slot stays Free.
-  auto forkChunk = [&](unsigned SlotIdx, int64_t Chunk) -> bool {
+  // A chunk that did not launch stays pending: a fork failure is charged
+  // to it, a shutdown request (SignalStorm) winds the run down first.
+  auto forkChunk = [&](unsigned SlotIdx, int64_t Chunk) {
     Slot &S = Slots[SlotIdx];
-    const int64_t First = Chunk * Cf;
-    const int64_t Last = std::min<int64_t>(First + Cf, Spec.NumIterations);
-    faultParentKillPoint(); // crash-restart: parent dies at dispatch
-    ArmedFault Fault;
-    if (FaultPlan::global().enabled()) {
-      // Fault points address the ORIGINAL coordinates of the work: a
-      // salvage sub-run re-indexes chunks, so map back before consuming.
-      FaultCoords FC{Chunk, First, Last};
-      if (Spec.FaultRemap)
-        FC = Spec.FaultRemap(Chunk, First, Last);
-      Fault = FaultPlan::global().take(FC.Chunk, FC.FirstIter, FC.LastIter);
-    }
-    if (Fault.Armed && Fault.Kind == FaultKind::SignalStorm) {
-      // The storm targets the parent, not the chunk: latch a shutdown
-      // request and let the main loop wind down into Interrupted.
-      requestShutdown();
-      insertPending(Chunk);
-      return false;
-    }
-    if (Fault.Armed && Fault.Kind == FaultKind::ForkFail) {
-      ++Result.Stats.NumForkFailures;
-      ++Result.Stats.ResourceFaults;
-      if (Sink.events())
-        Sink.event(TraceEventKind::ResourceFault, /*Worker=*/0, Chunk,
-                   traceNowNs(), 0, /*Arg0=*/2);
-      chunkFault(Chunk, "fork/pipe failure");
-      return false;
-    }
     // A cold fallback child inherits the other in-flight COLD read ends;
     // close them in the child so their EOF semantics stay clean. (Warm
     // slots poll pool-owned doorbells, which don't carry EOF.)
@@ -326,24 +161,13 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     for (const Slot &Other : Slots)
       if (Other.St == Slot::State::Running && !Other.Ch.Warm)
         CloseInChild.push_back(Other.Ch.PollFd);
-    if (!spawnChunkChild(Spec, Config, Pool.get(), SlotIdx, Chunk, First,
-                         Last, Fault, CloseInChild, S.Ch)) {
-      ++Result.Stats.NumForkFailures;
-      ++Result.Stats.ResourceFaults;
-      if (Sink.events())
-        Sink.event(TraceEventKind::ResourceFault, /*Worker=*/0, Chunk,
-                   traceNowNs(), 0, /*Arg0=*/2);
-      chunkFault(Chunk, "fork/pipe failure");
-      return false;
+    if (!Lane.launch(SlotIdx, Chunk, CloseInChild, S.Ch)) {
+      if (shutdownRequested())
+        insertPending(Chunk);
+      else
+        chunkFault(Chunk, "fork/pipe failure");
+      return;
     }
-    if (S.Ch.Warm)
-      ++Result.Stats.WarmForks;
-    else
-      ++Result.Stats.ColdForks;
-    if (Sink.events())
-      Sink.event(TraceEventKind::Fork, /*Worker=*/0, Chunk, traceNowNs(), 0,
-                 /*Arg0=*/SlotIdx + 1,
-                 /*Arg1=*/S.Ch.Reused ? 2 : S.Ch.Warm ? 1 : 0);
     S.St = Slot::State::Running;
     S.Chunk = Chunk;
     // The child's snapshot reflects every commit applied so far: a cold
@@ -352,7 +176,6 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     // stream up to the commits pushed before its command. Either way it
     // must validate against everything that commits after this point.
     S.SnapshotSeq = Detector.commitSeq();
-    return true;
   };
 
   // Keep every slot busy: the continuous feed that replaces the round
@@ -361,7 +184,7 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   // against zero concurrent commits and therefore commits.
   auto fillSlots = [&] {
     if (DrainChunk >= 0) {
-      if (anyRunning())
+      if (runningSlots() != 0)
         return;
       for (unsigned I = 0; I != P; ++I) {
         if (Slots[I].St != Slot::State::Free)
@@ -379,7 +202,8 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     // Dispatch only into the first ActiveP slots: a parallelism downgrade
     // must reduce the number of SIMULTANEOUS children, and slots above the
     // shrunk width drain naturally (Reserved reports still retire).
-    for (unsigned I = 0; I != ActiveP && !Pending.empty() && !Crashed; ++I) {
+    for (unsigned I = 0; I != ActiveP && !Pending.empty() && !Lane.failed();
+         ++I) {
       if (Slots[I].St != Slot::State::Free)
         continue;
       const int64_t Chunk = Pending.front();
@@ -398,62 +222,33 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     Detector.pruneEpochsThrough(MinSnapshot);
   };
 
-  auto commitReport = [&](ChildReport &Rep, int64_t Chunk,
-                          unsigned SlotIdx) {
-    ++Result.Stats.NumCommitted;
-    const uint64_t CommitT0 = Sink.events() ? traceNowNs() : 0;
-    const uint64_t CommitR0 = Config.Metrics ? nowNs() : 0;
+  // Validates chunk \p Chunk's report against exactly the commits since its
+  // snapshot, then commits it or requeues it. Returns true on commit.
+  auto retire = [&](ChildReport &Rep, int64_t Chunk, uint64_t SnapshotSeq,
+                    unsigned SlotIdx) {
+    const ParentLane::ValidateClock V = Lane.beginValidate();
+    const bool Conflicts =
+        Detector.hasConflictSince(SnapshotSeq, Rep.Reads, Rep.Writes);
+    Lane.endValidate(Chunk, V, Conflicts, Detector.lastConflictWord());
+    if (Conflicts) {
+      Lane.retry(Chunk, Detector.lastConflictWord());
+      insertPending(Chunk);
+      const unsigned Count = ++RetryCount[Chunk];
+      // InOrder needs no guard: only the oldest unretired chunk validates,
+      // and its solo retry cannot conflict. OutOfOrder chunks can starve
+      // behind a stream of committers, so drain the pipe and run them
+      // alone.
+      if (!InOrder && Count >= StarvationRetryLimit && DrainChunk < 0)
+        DrainChunk = Chunk;
+      return false;
+    }
     Detector.recordCommitEpoch(Rep.Writes);
-    // Write-ahead: journal before applying (see ForkJoinExecutor — a
-    // crash in the gap replays this chunk by re-execution on restart).
-    if (Config.Journal) {
-      const int64_t JFirst = Chunk * Cf;
-      const int64_t JLast =
-          std::min<int64_t>(JFirst + Cf, Spec.NumIterations);
-      Config.Journal->appendCommit(Chunk, JFirst, JLast, &Rep.Log);
-    }
-    faultParentKillPoint(); // crash-restart: parent dies at commit
-    // Apply the child's writes verbatim: the ALTER allocator guarantees
-    // address disjointness, so this cannot clobber live parent data.
-    Rep.Log.apply();
-    for (unsigned I = 0; I != Rep.Slots.size(); ++I)
-      if (Rep.Slots[I].Active && Rep.Slots[I].Touched)
-        TxnContext::commitReductionSlot(Spec.Reductions[I], Rep.Slots[I]);
-    if (Config.Allocator)
-      Config.Allocator->advanceBump(SlotIdx + 1, Rep.BumpOffset);
-    // Stream the commit to the warm replicas (template and residents),
-    // which replay it before their next chunk.
-    if (Pool)
-      Pool->pushCommit(SlotIdx + 1, Rep);
-    if (Config.Metrics) {
-      Result.Metrics.record(HistogramId::CommitNs, nowNs() - CommitR0);
-      Result.Metrics.addCounter(CounterId::ParentCommits);
-    }
-    Result.CommitOrder.push_back(Chunk);
+    Lane.commit(Rep, Chunk, /*Arena=*/SlotIdx + 1);
     ++Committed;
-    if (Sink.events())
-      Sink.event(TraceEventKind::Commit, /*Worker=*/0, Chunk, CommitT0,
-                 traceNowNs() - CommitT0, /*Arg0=*/Rep.Log.dataBytes());
     if (Chunk == DrainChunk)
       DrainChunk = -1;
     RetryCount.erase(Chunk);
-  };
-
-  // Called immediately after a failed hasConflictSince, while the
-  // detector's conflict witness is still valid.
-  auto failReport = [&](int64_t Chunk) {
-    ++Result.Stats.NumRetries;
-    if (Sink.counters())
-      Sink.conflict(Chunk, Detector.lastConflictWord());
-    if (Sink.events())
-      Sink.event(TraceEventKind::Retry, /*Worker=*/0, Chunk, traceNowNs());
-    insertPending(Chunk);
-    const unsigned Count = ++RetryCount[Chunk];
-    // InOrder needs no guard: only the oldest unretired chunk validates,
-    // and its solo retry cannot conflict. OutOfOrder chunks can starve
-    // behind a stream of committers, so drain the pipe and run them alone.
-    if (!InOrder && Count >= StarvationRetryLimit && DrainChunk < 0)
-      DrainChunk = Chunk;
+    return true;
   };
 
   // Retire buffered reports in ascending chunk order (InOrder only).
@@ -464,24 +259,8 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
       Arrived.erase(It);
       if (Slots[B.SlotIdx].St == Slot::State::Reserved)
         Slots[B.SlotIdx].St = Slot::State::Free;
-      const uint64_t ValT0 = Sink.events() ? traceNowNs() : 0;
-      const uint64_t ValR0 = Config.Metrics ? nowNs() : 0;
-      faultParentKillPoint(); // crash-restart: parent dies at validate
-      const bool Conflicts = Detector.hasConflictSince(
-          B.SnapshotSeq, B.Rep.Reads, B.Rep.Writes);
-      if (Config.Metrics) {
-        Result.Metrics.record(HistogramId::ValidateNs, nowNs() - ValR0);
-        Result.Metrics.addCounter(CounterId::ParentValidates);
-      }
-      if (Sink.events())
-        Sink.event(TraceEventKind::Validate, /*Worker=*/0, NextToRetire,
-                   ValT0, traceNowNs() - ValT0, /*Arg0=*/Conflicts ? 1 : 0,
-                   /*Arg1=*/Detector.lastConflictWord());
-      if (Conflicts) {
-        failReport(NextToRetire);
+      if (!retire(B.Rep, NextToRetire, B.SnapshotSeq, B.SlotIdx))
         break;
-      }
-      commitReport(B.Rep, NextToRetire, B.SlotIdx);
       ++NextToRetire;
     }
   };
@@ -493,58 +272,16 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   // same chunk would overflow again on retry.
   auto completeSlot = [&](unsigned SlotIdx) {
     Slot &S = Slots[SlotIdx];
-    Result.Stats.WireBytesCopied += S.Ch.BytesCopied;
-    if (S.Ch.Warm) {
-      // The template reaped the child; its doorbell told us how it died.
-      if (S.Ch.Abnormal) {
-        ++Result.Stats.NumChildCrashes;
-        S.St = Slot::State::Free;
-        S.Ch.Buf.clear();
-        chunkFault(S.Chunk, "pooled child terminated abnormally");
-        return;
-      }
-    } else {
-      int Status = 0;
-      ChildRusage Usage;
-      if (waitpidRusage(S.Ch.DirectPid, &Status, &Usage) < 0) {
-        ++Result.Stats.NumChildCrashes;
-        S.St = Slot::State::Free;
-        S.Ch.Buf.clear();
-        chunkFault(S.Chunk, "waitpid failure");
-        return;
-      }
-      addChildUsage(Usage);
-      if (!WIFEXITED(Status) || WEXITSTATUS(Status) != 0) {
-        ++Result.Stats.NumChildCrashes;
-        S.St = Slot::State::Free;
-        S.Ch.Buf.clear();
-        chunkFault(S.Chunk, strprintf("terminated abnormally (status 0x%x)",
-                                      Status));
-        return;
-      }
-    }
     ChildReport Rep;
-    std::string Error;
-    if (!decodeChildReport(S.Ch.Buf, Spec, Config.Params, Rep, Error)) {
-      ++Result.Stats.NumWireRejects;
-      if (S.Ch.Warm)
-        Pool->discardResident(SlotIdx); // its next chunk re-forks
+    std::string Why;
+    const bool Reaped = Lane.reap(SlotIdx, S.Ch, Rep, Why);
+    S.Ch.Buf.clear();
+    if (!Reaped) {
       S.St = Slot::State::Free;
-      S.Ch.Buf.clear();
-      chunkFault(S.Chunk, "rejected commit message: " + Error);
+      chunkFault(S.Chunk, Why);
       return;
     }
-    S.Ch.Buf.clear();
-    if (Rep.LimitExceeded) {
-      Crashed = true;
-      // Record the blown access sets before bailing: the run dies, but
-      // the telemetry must still show the read-set blowup that killed it
-      // (AggloClust under OutOfOrder retries grows monotone merge read
-      // sets until they hit the cap — invisible if dropped here).
-      Result.Stats.ReadSetWords.add(
-          static_cast<double>(Rep.Reads.sizeWords()));
-      Result.Stats.WriteSetWords.add(
-          static_cast<double>(Rep.Writes.sizeWords()));
+    if (!Lane.account(Rep)) {
       // Indict the earliest uncommitted chunk, not the one that tripped
       // the cap. The tripping chunk's set usually blew up re-validating
       // against snapshots that are stale only because an earlier chunk
@@ -562,29 +299,15 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
         Earliest = std::min(Earliest, Pending.front());
       if (InOrder)
         Earliest = std::min(Earliest, NextToRetire);
-      Result.FailedChunk = Earliest;
-      CrashDetail = strprintf(
-          "worker %u (chunk %lld) exceeded the access-set memory cap "
-          "(earliest uncommitted chunk %lld indicted)",
-          SlotIdx, static_cast<long long>(S.Chunk),
-          static_cast<long long>(Earliest));
+      Lane.fail(Earliest,
+                strprintf("worker %u (chunk %lld) exceeded the access-set "
+                          "memory cap (earliest uncommitted chunk %lld "
+                          "indicted)",
+                          SlotIdx, static_cast<long long>(S.Chunk),
+                          static_cast<long long>(Earliest)));
       S.St = Slot::State::Free;
       return;
     }
-    ++Result.Stats.NumTransactions;
-    Result.Stats.ReadSetWords.add(static_cast<double>(Rep.Reads.sizeWords()));
-    Result.Stats.WriteSetWords.add(
-        static_cast<double>(Rep.Writes.sizeWords()));
-    Result.Stats.InstrReadCalls += Rep.InstrReadCalls;
-    Result.Stats.InstrWriteCalls += Rep.InstrWriteCalls;
-    Result.Stats.BytesRead += Rep.BytesRead;
-    Result.Stats.BytesWritten += Rep.BytesWritten;
-    Result.Stats.WireBytes += Rep.WireBytes;
-    Result.Stats.WireBytesRaw += Rep.RawWireBytes;
-    Result.Stats.WorkerBusyNs += Rep.WorkNs;
-    Sink.absorbChild(Rep.Trace);
-    if (Config.Metrics)
-      Result.Metrics.merge(Rep.Metrics);
 
     if (InOrder && S.Chunk != NextToRetire) {
       // Too early to retire: park the report (see Slot for when its slot
@@ -596,24 +319,8 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
       return;
     }
     S.St = Slot::State::Free;
-    const uint64_t ValT0 = Sink.events() ? traceNowNs() : 0;
-    const uint64_t ValR0 = Config.Metrics ? nowNs() : 0;
-    faultParentKillPoint(); // crash-restart: parent dies at validate
-    const bool Conflicts =
-        Detector.hasConflictSince(S.SnapshotSeq, Rep.Reads, Rep.Writes);
-    if (Config.Metrics) {
-      Result.Metrics.record(HistogramId::ValidateNs, nowNs() - ValR0);
-      Result.Metrics.addCounter(CounterId::ParentValidates);
-    }
-    if (Sink.events())
-      Sink.event(TraceEventKind::Validate, /*Worker=*/0, S.Chunk, ValT0,
-                 traceNowNs() - ValT0, /*Arg0=*/Conflicts ? 1 : 0,
-                 /*Arg1=*/Detector.lastConflictWord());
-    if (Conflicts) {
-      failReport(S.Chunk);
+    if (!retire(Rep, S.Chunk, S.SnapshotSeq, SlotIdx))
       return;
-    }
-    commitReport(Rep, S.Chunk, SlotIdx);
     if (InOrder) {
       ++NextToRetire;
       drainArrived();
@@ -624,29 +331,14 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   while (Committed != NumChunks) {
     if (shutdownRequested()) {
       // Graceful wind-down: stop dispatching, SIGKILL and reap every live
-      // child (the pool destructor tears down the template and its
-      // residents on return), and surface a valid partial result.
+      // child, and surface a valid partial result.
       killInFlight();
-      Result.Status = RunStatus::Interrupted;
-      Result.Detail = strprintf(
-          "interrupted by shutdown request (signal %d) with %lld of %lld "
-          "chunks committed",
-          shutdownSignal(), static_cast<long long>(Committed),
-          static_cast<long long>(NumChunks));
-      if (Sink.events())
-        Sink.event(TraceEventKind::Interrupt, /*Worker=*/0, /*Chunk=*/-1,
-                   traceNowNs(), 0,
-                   /*Arg0=*/static_cast<uint64_t>(Committed));
-      finishStats();
-      return Result;
+      return Lane.interrupt();
     }
     fillSlots();
-    if (Crashed) {
+    if (Lane.failed()) {
       killInFlight();
-      Result.Status = RunStatus::Crash;
-      Result.Detail = CrashDetail;
-      finishStats();
-      return Result;
+      return Lane.finishFailed();
     }
 
     std::vector<pollfd> Fds;
@@ -673,8 +365,8 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
       // one) so the retries demand fewer simultaneous children.
       if (!Pending.empty() && ++FailedSweeps >= 2 && ActiveP > 1) {
         ActiveP = std::max(1u, ActiveP / 2);
-        ++Result.Stats.ResourceFaults;
-        ++Result.Stats.ParallelismDowngrades;
+        ++Stats.ResourceFaults;
+        ++Stats.ParallelismDowngrades;
         if (Sink.events())
           Sink.event(TraceEventKind::Downgrade, /*Worker=*/0, /*Chunk=*/-1,
                      traceNowNs(), 0, /*Arg0=*/1, /*Arg1=*/ActiveP);
@@ -696,14 +388,9 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
                    PollT0, traceNowNs() - PollT0,
                    /*Arg0=*/static_cast<uint64_t>(Ready),
                    /*Arg1=*/static_cast<uint64_t>(Fds.size()));
-      sampleTimeline(/*Force=*/false);
-      if (Ready < 0) {
-        killInFlight();
-        Result.Status = RunStatus::Crash;
-        Result.Detail = "poll() failed in pipeline executor";
-        finishStats();
-        return Result;
-      }
+      Lane.sample(runningSlots(), /*Force=*/false);
+      if (Ready < 0)
+        return stop(RunStatus::Crash, "poll() failed in pipeline executor");
 
       // Before any completion can spawn: a respawned template would reuse
       // the dead one's descriptor number.
@@ -712,37 +399,27 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
       for (size_t F = 0; F != FdSlots.size(); ++F) {
         if (!(Fds[F].revents & (POLLIN | POLLHUP | POLLERR)))
           continue;
-        Slot &S = Slots[FdSlots[F]];
         // Pump whatever arrived (pipe bytes or ring records); when the
         // record is complete — EOF on a cold pipe, a whole frame or a
         // terminal doorbell on a warm ring — retire the slot. Truncated
         // buffers are rejected by the decode inside completeSlot,
         // containing the failure to this chunk.
-        if (!pumpChunkChannel(Pool.get(), FdSlots[F], S.Ch))
+        if (!pumpChunkChannel(Pool, FdSlots[F], Slots[FdSlots[F]].Ch))
           continue;
         completeSlot(FdSlots[F]);
-        if (Crashed) {
+        if (Lane.failed()) {
           killInFlight();
-          Result.Status = RunStatus::Crash;
-          Result.Detail = CrashDetail;
-          finishStats();
-          return Result;
+          return Lane.finishFailed();
         }
       }
     }
 
     if (DeadlineNs != 0 &&
-        AccumulatedSimNs + (nowNs() - RealStart) > DeadlineNs) {
-      killInFlight();
-      Result.Status = RunStatus::Timeout;
-      Result.Detail =
-          "pipelined execution time exceeded the 10x-sequential deadline";
-      finishStats();
-      return Result;
-    }
+        AccumulatedSimNs + (nowNs() - Lane.startNs()) > DeadlineNs)
+      return stop(RunStatus::Timeout, "pipelined execution time exceeded "
+                                      "the 10x-sequential deadline");
   }
 
   assert(Arrived.empty() && "buffered reports outlived the run");
-  finishStats();
-  return Result;
+  return Lane.finish(RunStatus::Success, std::string());
 }

@@ -15,17 +15,12 @@
 #include "runtime/StagePipelineExecutor.h"
 
 #include "memory/AlterAllocator.h"
-#include "runtime/CommitJournal.h"
 #include "runtime/CommitRing.h"
-#include "runtime/ConflictDetector.h"
+#include "runtime/ParentLane.h"
 #include "runtime/ShutdownSupervisor.h"
-#include "runtime/TraceSink.h"
-#include "runtime/TxnWire.h"
 #include "support/Error.h"
-#include "support/FaultInjection.h"
 #include "support/Format.h"
 #include "support/Io.h"
-#include "support/Subprocess.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -39,7 +34,6 @@
 #include <vector>
 
 #include <poll.h>
-#include <sys/resource.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
@@ -53,7 +47,7 @@ namespace {
 
 //===----------------------------------------------------------------------===
 // STGQ records: the parent -> replica dispatch (and, for ParFirst plans, the
-// replica -> parent token report appended after the ALTER4 commit frame).
+// replica -> parent token report appended after the commit frame).
 // Framed exactly like the commit wire — magic | payload length | CRC32 — so
 // a corrupted queue record is REJECTED by the consumer, never trusted.
 //===----------------------------------------------------------------------===
@@ -155,23 +149,6 @@ bool decodeStageCmd(const uint8_t *Bytes, size_t Size, StageCmd &Cmd,
 // Replica child side
 //===----------------------------------------------------------------------===
 
-/// Local copy of the kernel-enforced per-child caps (the TxnWire original
-/// is file-local there). Best-effort, matching that behavior.
-void applyStageRlimits(const ExecutorConfig &Config) {
-  if (Config.ChildCpuSeconds != 0) {
-    rlimit R;
-    R.rlim_cur = static_cast<rlim_t>(Config.ChildCpuSeconds);
-    R.rlim_max = static_cast<rlim_t>(Config.ChildCpuSeconds + 1);
-    (void)::setrlimit(RLIMIT_CPU, &R);
-  }
-  if (Config.ChildAddressSpaceBytes != 0) {
-    rlimit R;
-    R.rlim_cur = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
-    R.rlim_max = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
-    (void)::setrlimit(RLIMIT_AS, &R);
-  }
-}
-
 void stageSleepNs(uint64_t Ns) {
   timespec Ts;
   Ts.tv_sec = static_cast<time_t>(Ns / 1000000000ULL);
@@ -181,7 +158,7 @@ void stageSleepNs(uint64_t Ns) {
 }
 
 /// Executes one replica chunk: the plan's replicated stage, transactionally,
-/// then ships the framed ALTER4 commit message (and, for ParFirst, the STGQ
+/// then ships the framed commit message (and, for ParFirst, the STGQ
 /// token report) into \p OutRing with doorbells through \p Bell.
 template <typename BellFn>
 void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
@@ -272,7 +249,7 @@ void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
   // core and re-run parent atexit handlers from the fork image.
   markForkedChild();
   ::signal(SIGPIPE, SIG_IGN);
-  applyStageRlimits(Config);
+  applyChildRlimits(Config);
 
   const auto Bell = [&](uint8_t Kind) {
     const uint8_t B =
@@ -359,8 +336,8 @@ constexpr uint64_t StageStallFloorNs = 250'000'000; // 250ms
 } // namespace
 
 RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
-  RunResult Result;
   if (!Spec.Stage.valid()) {
+    RunResult Result;
     Result.Status = RunStatus::Crash;
     Result.Detail = "loop carries no stage decomposition";
     return Result;
@@ -368,17 +345,19 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   // Staged chunks never misspeculate, so the pipeline runs coarser chunks
   // than the loop's abort-tuned chunk factor (stagedChunkFactor), which
   // amortizes the per-chunk dispatch, context, and frame costs that would
-  // otherwise dominate the sequential lane.
-  const int64_t Cf =
-      stagedChunkFactor(Config.Params.ChunkFactor > 0
-                            ? Config.Params.ChunkFactor
-                            : globalChunkFactor());
-  Result.ChunkFactorUsed = Cf;
-  Result.ScheduleUsed = ScheduleKind::Staged;
-  const int64_t N = Spec.NumIterations;
-  const int64_t NumChunks = (N + Cf - 1) / Cf;
+  // otherwise dominate the sequential lane. Validation is always FULL
+  // (see SC below).
+  ParentLane Lane("staged", Spec, Config, ScheduleKind::Staged,
+                  stagedChunkFactor(Config.Params.ChunkFactor > 0
+                                        ? Config.Params.ChunkFactor
+                                        : globalChunkFactor()),
+                  ConflictPolicy::FULL, LaneClock::Modeled);
+  const int64_t NumChunks = Lane.NumChunks;
   if (NumChunks == 0)
-    return Result;
+    return Lane.finish(RunStatus::Success, std::string());
+  RunStats &Stats = Lane.Stats;
+  ConflictDetector &Detector = Lane.Detector;
+  TraceSink &Sink = Lane.Sink;
   const bool SeqFirst = Spec.Stage.Order == StageOrder::SeqFirst;
   // The parent owns the sequential lane (worker/arena 0); everyone else is
   // a replica of the parallel stage.
@@ -409,9 +388,6 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   ExecutorConfig SC = Config;
   SC.Params.Conflict = ConflictPolicy::FULL;
 
-  ConflictDetector Detector(ConflictPolicy::FULL);
-  TraceSink Sink(Config.Trace);
-
   std::vector<StageWorker> Workers(NumPar);
   std::map<int64_t, SeqChunkState> SeqOpen;   // SeqFirst: executed, unretired
   // Sequential-lane contexts are pooled across chunks: beginTxn() keeps the
@@ -437,7 +413,6 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     return Ctx;
   };
   std::map<int64_t, StageArrival> Arrived;    // replica reports by chunk
-  std::map<int64_t, unsigned> FaultCounts;
   // Cross-stage footprints for the plan-contract checks (word keys). Kept
   // across restarts: rolled-back halves re-execute deterministically, so
   // stale entries are a conservative superset.
@@ -450,9 +425,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   const int64_t LeadMax = 2 * static_cast<int64_t>(NumPar) + 2;
   unsigned Generation = 0;
   uint64_t GenForkSeq = 0;
-  bool Crashed = false;
   bool RestartPending = false;
-  std::string CrashDetail;
   int64_t FaultChunk = -1; // chunk the pending restart indicts
   int64_t LastStallChunk = -1;
 
@@ -462,55 +435,14 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   std::vector<double> ParFreeNs(NumPar, 0.0);
   double RetireClockNs = 0.0;
 
-  const uint64_t RealStart = nowNs();
-  uint64_t LastProgressNs = RealStart;
-
-  auto addChildUsage = [&](const ChildRusage &Usage) {
-    Result.Stats.ChildUserNs += Usage.UserNs;
-    Result.Stats.ChildSysNs += Usage.SysNs;
-    Result.Stats.MaxChildRssBytes =
-        std::max(Result.Stats.MaxChildRssBytes, Usage.MaxRssBytes);
-  };
-
-  auto finishStats = [&] {
-    Result.Stats.RealTimeNs = nowNs() - RealStart;
-    // Single-CPU host: the protocol ran for real, the parallel wall-clock
-    // is modeled (header comment). One final join closes the pipeline.
-    Result.Stats.SimTimeNs =
-        static_cast<uint64_t>(RetireClockNs + Model.BarrierNs);
-    Result.Stats.WorkerSlotNs = Result.Stats.SimTimeNs * Config.NumWorkers;
-    Result.Stats.BloomChecks = Detector.bloomChecks();
-    Result.Stats.BloomSkips = Detector.bloomSkips();
-    Result.Stats.BloomFalsePositives = Detector.bloomFalsePositives();
-    if (logEnabled(LogLevel::Info))
-      alterLog(LogLevel::Info, "run",
-               "event=run_done engine=staged schedule=%s status=%s "
-               "wall_ns=%llu occupancy=%.3f committed=%llu retries=%llu "
-               "stalls=%llu crashes=%llu wire_rejects=%llu "
-               "resource_faults=%llu cpu_user_ns=%llu cpu_sys_ns=%llu",
-               scheduleKindName(Result.ScheduleUsed),
-               runStatusName(Result.Status),
-               static_cast<unsigned long long>(Result.Stats.RealTimeNs),
-               Result.Stats.occupancy(),
-               static_cast<unsigned long long>(Result.Stats.NumCommitted),
-               static_cast<unsigned long long>(Result.Stats.NumRetries),
-               static_cast<unsigned long long>(Result.Stats.StageStalled),
-               static_cast<unsigned long long>(Result.Stats.NumChildCrashes),
-               static_cast<unsigned long long>(Result.Stats.NumWireRejects),
-               static_cast<unsigned long long>(Result.Stats.ResourceFaults),
-               static_cast<unsigned long long>(Result.Stats.ChildUserNs),
-               static_cast<unsigned long long>(Result.Stats.ChildSysNs));
-    Sink.finish(Result);
-  };
+  uint64_t LastProgressNs = Lane.startNs();
 
   auto killWorker = [&](unsigned W) {
     StageWorker &SW = Workers[W];
     if (SW.Pid > 0) {
       ::kill(SW.Pid, SIGKILL);
       int Status = 0;
-      ChildRusage Usage;
-      if (waitpidRusage(SW.Pid, &Status, &Usage) > 0)
-        addChildUsage(Usage);
+      Lane.reapPid(SW.Pid, &Status);
     }
     if (SW.WorkW >= 0)
       ::close(SW.WorkW);
@@ -530,33 +462,44 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       killWorker(W);
   };
 
+  // Rolls one open sequential-stage transaction back and returns its
+  // context to the pool.
+  auto abortSeq = [&](std::unique_ptr<TxnContext> Ctx) {
+    Ctx->suspendTxn();
+    Ctx->abortTxn();
+    CtxPool.push_back(std::move(Ctx));
+  };
+
   // Rolls back every open sequential-stage transaction newest-first (LIFO:
   // each undo log restores the bytes the NEXT-older transaction observed).
   auto rollbackOpenSeq = [&] {
-    for (auto It = SeqOpen.rbegin(); It != SeqOpen.rend(); ++It) {
-      It->second.Ctx->suspendTxn();
-      It->second.Ctx->abortTxn();
-      CtxPool.push_back(std::move(It->second.Ctx));
-    }
+    for (auto It = SeqOpen.rbegin(); It != SeqOpen.rend(); ++It)
+      abortSeq(std::move(It->second.Ctx));
     SeqOpen.clear();
+  };
+
+  // Every exit: kill and reap every replica, roll the open sequential
+  // halves back so memory is committed state (nothing is orphaned, and a
+  // partial result is valid as-is), and close the modeled pipeline with
+  // one final join. The protocol ran for real; the parallel wall clock is
+  // the modeled one (header comment).
+  auto stop = [&](RunStatus Status, std::string Detail) {
+    killAllWorkers();
+    rollbackOpenSeq();
+    Stats.SimTimeNs = static_cast<uint64_t>(RetireClockNs + Model.BarrierNs);
+    if (Status == RunStatus::Interrupted)
+      return Lane.interrupt();
+    if (Status == RunStatus::Crash && Lane.failed())
+      return Lane.finishFailed();
+    return Lane.finish(Status, std::move(Detail));
   };
 
   // Contained infrastructure failure: charge the chunk's fault budget and
   // request a world restart, or — budget exhausted — fail the run with a
   // Crash the recovery ladder can absorb.
   auto chunkFault = [&](int64_t Chunk, const std::string &Why) {
-    const unsigned Count = ++FaultCounts[Chunk];
-    if (Count > Config.ChunkFaultRetryLimit) {
-      Crashed = true;
-      Result.FailedChunk = Chunk;
-      CrashDetail =
-          strprintf("chunk %lld failed %u consecutive attempts (%s)",
-                    static_cast<long long>(Chunk), Count, Why.c_str());
+    if (!Lane.chargeFault(Chunk, Why))
       return;
-    }
-    if (Sink.events())
-      Sink.event(TraceEventKind::FaultContained, /*Worker=*/0, Chunk,
-                 traceNowNs(), 0, /*Arg0=*/Count);
     RestartPending = true;
     if (FaultChunk < 0)
       FaultChunk = Chunk;
@@ -566,10 +509,8 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   // all. Never retried — re-running the same plan re-violates — the run
   // fails into the ladder, which re-executes from committed state.
   auto planViolation = [&](int64_t Chunk, const char *What) {
-    Crashed = true;
-    Result.FailedChunk = Chunk;
-    CrashDetail = strprintf("stage plan violation at chunk %lld (%s)",
-                            static_cast<long long>(Chunk), What);
+    Lane.fail(Chunk, strprintf("stage plan violation at chunk %lld (%s)",
+                               static_cast<long long>(Chunk), What));
     if (Sink.counters())
       Sink.conflict(Chunk, Detector.lastConflictWord());
   };
@@ -666,7 +607,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     SW.Chunk = -1;
     SW.Buf.clear();
     SW.FinishSeen = false;
-    ++Result.Stats.ColdForks;
+    ++Stats.ColdForks;
     if (Sink.events())
       Sink.event(TraceEventKind::Fork, /*Worker=*/0, /*Chunk=*/-1,
                  traceNowNs(), 0, /*Arg0=*/W + 1, /*Arg1=*/3);
@@ -679,8 +620,8 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   auto forkAllWorkers = [&] {
     for (unsigned W = 0; W != NumPar; ++W) {
       if (!forkWorker(W)) {
-        ++Result.Stats.NumForkFailures;
-        ++Result.Stats.ResourceFaults;
+        ++Stats.NumForkFailures;
+        ++Stats.ResourceFaults;
         for (unsigned O = 0; O <= W; ++O)
           killWorker(O);
         chunkFault(Frontier, "fork/pipe failure");
@@ -712,75 +653,77 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     (void)writeFull(SW.WorkW, &B, 1);
   };
 
+  // Closes the execution of chunk \p C's sequential half in \p Ctx. A half
+  // that tripped the access-set cap or touched replica-stage writes is
+  // rolled back and fails the run; otherwise its writes are published as a
+  // commit epoch, so every replica validation from this generation sees
+  // them.
+  auto sealSeqHalf = [&](std::unique_ptr<TxnContext> &Ctx,
+                         int64_t C) -> bool {
+    const bool Capped = Ctx->limitExceeded();
+    if (Capped || setOverlaps(Ctx->readSet(), ParWriteWords) ||
+        setOverlaps(Ctx->writeSet(), ParWriteWords)) {
+      abortSeq(std::move(Ctx));
+      if (Capped)
+        Lane.fail(C, strprintf("sequential stage (chunk %lld) exceeded the "
+                               "access-set memory cap",
+                               static_cast<long long>(C)));
+      else
+        planViolation(C, "sequential stage touched replica-stage writes");
+      return false;
+    }
+    Detector.recordCommitEpoch(Ctx->writeSet());
+    for (uintptr_t Key : Ctx->readSet().words())
+      SeqReadWords.insert(Key);
+    return true;
+  };
+
+  // Commits a sealed sequential half: its writes are already in place, so
+  // capture them as redo and commit (reduction merges, deferred frees)
+  // without restoring. Returns the half's commit bytes.
+  auto commitSeqHalf = [&](std::unique_ptr<TxnContext> Ctx,
+                           uint64_t SeqNs) -> uint64_t {
+    ++Stats.NumTransactions;
+    ++Stats.NumCommitted;
+    Stats.ReadSetWords.add(static_cast<double>(Ctx->readSet().sizeWords()));
+    Stats.WriteSetWords.add(static_cast<double>(Ctx->writeSet().sizeWords()));
+    Stats.InstrReadCalls += Ctx->instrReadCalls();
+    Stats.InstrWriteCalls += Ctx->instrWriteCalls();
+    Stats.BytesRead += Ctx->bytesRead();
+    Stats.BytesWritten += Ctx->bytesWritten();
+    Stats.WorkerBusyNs += SeqNs;
+    const uint64_t Bytes = Ctx->writeLog().dataBytes();
+    Ctx->captureRedo();
+    Ctx->commitTxn();
+    CtxPool.push_back(std::move(Ctx));
+    return Bytes;
+  };
+
   // Executes the sequential half of chunk \p C in the parent (SeqFirst):
   // one transaction, held open — its in-place writes carry the SCC to the
   // next chunk — until the frontier retires it.
   auto execSeqChunk = [&](int64_t C) {
-    const int64_t First = C * Cf;
-    const int64_t Last = std::min<int64_t>(First + Cf, N);
     SeqChunkState SCS;
     SCS.Ctx = takeSeqCtx();
     SCS.Ctx->beginTxn();
-    SCS.Tokens.reserve(static_cast<size_t>(Last - First));
+    SCS.Tokens.reserve(static_cast<size_t>(Lane.last(C) - Lane.first(C)));
     const uint64_t T0 = cpuNowNs();
-    for (int64_t I = First; I != Last; ++I)
+    for (int64_t I = Lane.first(C); I != Lane.last(C); ++I)
       SCS.Tokens.push_back(Spec.Stage.First(*SCS.Ctx, I));
     SCS.SeqNs = cpuNowNs() - T0;
-    if (SCS.Ctx->limitExceeded()) {
-      // Roll this transaction back before indicting it, so the crash exit
-      // leaves memory at committed state.
-      SCS.Ctx->suspendTxn();
-      SCS.Ctx->abortTxn();
-      CtxPool.push_back(std::move(SCS.Ctx));
-      Crashed = true;
-      Result.FailedChunk = C;
-      CrashDetail = strprintf(
-          "sequential stage (chunk %lld) exceeded the access-set memory cap",
-          static_cast<long long>(C));
-      return;
-    }
-    if (setOverlaps(SCS.Ctx->readSet(), ParWriteWords) ||
-        setOverlaps(SCS.Ctx->writeSet(), ParWriteWords)) {
-      SeqOpen.emplace(C, std::move(SCS)); // rolled back by the crash exit
-      planViolation(C, "sequential stage touched replica-stage writes");
-      return;
-    }
-    // Publish the half's writes as a commit epoch so every replica
-    // validation from this generation sees them.
-    Detector.recordCommitEpoch(SCS.Ctx->writeSet());
-    for (uintptr_t Key : SCS.Ctx->readSet().words())
-      SeqReadWords.insert(Key);
-    SeqOpen.emplace(C, std::move(SCS));
+    if (sealSeqHalf(SCS.Ctx, C))
+      SeqOpen.emplace(C, std::move(SCS));
   };
 
   // Hands chunk \p C to replica \p W through its dispatch queue.
   auto dispatchChunk = [&](unsigned W, int64_t C) {
     StageWorker &SW = Workers[W];
-    const int64_t First = C * Cf;
-    const int64_t Last = std::min<int64_t>(First + Cf, N);
-    faultParentKillPoint(); // crash-restart: parent dies at dispatch
     ArmedFault Fault;
-    if (FaultPlan::global().enabled()) {
-      // Fault points address the ORIGINAL coordinates of the work: a
-      // salvage sub-run re-indexes chunks, so map back before consuming.
-      FaultCoords FC{C, First, Last};
-      if (Spec.FaultRemap)
-        FC = Spec.FaultRemap(C, First, Last);
-      Fault = FaultPlan::global().take(FC.Chunk, FC.FirstIter, FC.LastIter);
-    }
-    if (Fault.Armed && Fault.Kind == FaultKind::SignalStorm) {
-      // The storm targets the parent, not the chunk: latch a shutdown
-      // request; the main loop winds the pipeline down into Interrupted.
-      requestShutdown();
-      return;
-    }
-    if (Fault.Armed && Fault.Kind == FaultKind::ForkFail) {
-      ++Result.Stats.NumForkFailures;
-      ++Result.Stats.ResourceFaults;
-      if (Sink.events())
-        Sink.event(TraceEventKind::ResourceFault, /*Worker=*/W + 1, C,
-                   traceNowNs(), 0, /*Arg0=*/2);
-      chunkFault(C, "fork/pipe failure");
+    if (!Lane.takeFault(C, W + 1, Fault)) {
+      // A SignalStorm: the main loop winds the pipeline down into
+      // Interrupted. Otherwise an injected fork failure.
+      if (!shutdownRequested())
+        chunkFault(C, "fork/pipe failure");
       return;
     }
     bool FlipRecord = false;
@@ -800,8 +743,8 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     }
     StageCmd Cmd;
     Cmd.Chunk = C;
-    Cmd.First = First;
-    Cmd.Last = Last;
+    Cmd.First = Lane.first(C);
+    Cmd.Last = Lane.last(C);
     Cmd.Fault = Fault;
     if (SeqFirst) {
       auto It = SeqOpen.find(C);
@@ -821,28 +764,10 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
                        [&] { writeDispatchBell(SW, RingDoorbellData); });
     writeDispatchBell(SW, RingDoorbellFinish);
     LastProgressNs = nowNs();
-    Result.Stats.QueueDepthPeak =
-        std::max<uint64_t>(Result.Stats.QueueDepthPeak,
-                           static_cast<uint64_t>(
-                               (SeqFirst ? NextSeq : NextDispatch + 1) -
-                               Frontier));
-  };
-
-  // Absorbs one replica's decoded report into the run statistics.
-  auto absorbReport = [&](const ChildReport &Rep) {
-    ++Result.Stats.NumTransactions;
-    Result.Stats.ReadSetWords.add(
-        static_cast<double>(Rep.Reads.sizeWords()));
-    Result.Stats.WriteSetWords.add(
-        static_cast<double>(Rep.Writes.sizeWords()));
-    Result.Stats.InstrReadCalls += Rep.InstrReadCalls;
-    Result.Stats.InstrWriteCalls += Rep.InstrWriteCalls;
-    Result.Stats.BytesRead += Rep.BytesRead;
-    Result.Stats.BytesWritten += Rep.BytesWritten;
-    Result.Stats.WireBytes += Rep.WireBytes;
-    Result.Stats.WireBytesRaw += Rep.RawWireBytes;
-    Result.Stats.WorkerBusyNs += Rep.WorkNs;
-    Sink.absorbChild(Rep.Trace);
+    Stats.QueueDepthPeak = std::max<uint64_t>(
+        Stats.QueueDepthPeak,
+        static_cast<uint64_t>((SeqFirst ? NextSeq : NextDispatch + 1) -
+                              Frontier));
   };
 
   // A replica's doorbell pipe reported EOF: it died (fault injection, a
@@ -850,30 +775,37 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   auto workerDied = [&](unsigned W) {
     StageWorker &SW = Workers[W];
     int Status = 0;
-    ChildRusage Usage;
-    if (waitpidRusage(SW.Pid, &Status, &Usage) > 0)
-      addChildUsage(Usage);
+    Lane.reapPid(SW.Pid, &Status);
     SW.Pid = -1;
     const bool QueueReject =
         WIFEXITED(Status) && WEXITSTATUS(Status) == StageQueueRejectExit;
     if (QueueReject)
-      ++Result.Stats.NumWireRejects;
+      ++Stats.NumWireRejects;
     else
-      ++Result.Stats.NumChildCrashes;
+      ++Stats.NumChildCrashes;
     const int64_t Indicted = SW.Chunk >= 0 ? SW.Chunk : Frontier;
     chunkFault(Indicted,
                QueueReject ? "replica rejected a corrupt inter-stage record"
                            : "stage replica terminated abnormally");
   };
 
-  // Tries to cut one complete report (ALTER4 frame + ParFirst token frame)
-  // from worker \p W's drained bytes. Returns false when more bytes are
-  // needed; rejections go through chunkFault.
+  // Drops worker \p W's report of its in-flight chunk as rejected.
+  auto rejectReport = [&](StageWorker &SW, const std::string &Why) {
+    const int64_t C = SW.Chunk;
+    SW.Buf.clear();
+    SW.FinishSeen = false;
+    SW.Chunk = -1;
+    chunkFault(C, Why);
+  };
+
+  // Tries to cut one complete report (the commit frame + the ParFirst
+  // token frame) from worker \p W's drained bytes. Returns false when more
+  // bytes are needed; rejections go through chunkFault.
   auto completeWorker = [&](unsigned W) -> bool {
     StageWorker &SW = Workers[W];
     if (!wireFrameLooksComplete(SW.Buf.data(), SW.Buf.size()))
       return false;
-    // Slice the exact ALTER4 frame: the decoder demands an exact-length
+    // Slice the exact commit frame: the decoder demands an exact-length
     // buffer. A corrupt magic poisons the length field, so hand the whole
     // buffer over and let the decode reject it.
     size_t FrameLen = SW.Buf.size();
@@ -886,14 +818,9 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
                                SW.Buf.begin() +
                                    static_cast<std::ptrdiff_t>(FrameLen));
     ChildReport Rep;
-    std::string Error;
-    if (!decodeChildReport(Frame, Spec, SC.Params, Rep, Error)) {
-      ++Result.Stats.NumWireRejects;
-      const int64_t C = SW.Chunk;
-      SW.Buf.clear();
-      SW.FinishSeen = false;
-      SW.Chunk = -1;
-      chunkFault(C, "rejected stage commit message: " + Error);
+    std::string Why;
+    if (!Lane.decode(Frame, Rep, Why)) {
+      rejectReport(SW, Why);
       return true;
     }
     StageArrival A;
@@ -907,24 +834,16 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       if (!stageFrameComplete(Rest, RestLen)) {
         if (!SW.FinishSeen)
           return false; // still streaming
-        ++Result.Stats.NumWireRejects;
-        const int64_t C = SW.Chunk;
-        SW.Buf.clear();
-        SW.FinishSeen = false;
-        SW.Chunk = -1;
-        chunkFault(C, "truncated inter-stage token record");
+        ++Stats.NumWireRejects;
+        rejectReport(SW, "truncated inter-stage token record");
         return true;
       }
       if (!decodeStageCmd(Rest, RestLen, Report, Consumed) ||
           Report.Chunk != SW.Chunk ||
           Report.Tokens.size() !=
               static_cast<size_t>(Report.Last - Report.First)) {
-        ++Result.Stats.NumWireRejects;
-        const int64_t C = SW.Chunk;
-        SW.Buf.clear();
-        SW.FinishSeen = false;
-        SW.Chunk = -1;
-        chunkFault(C, "rejected inter-stage token record");
+        ++Stats.NumWireRejects;
+        rejectReport(SW, "rejected inter-stage token record");
         return true;
       }
       FrameLen += Consumed;
@@ -935,15 +854,12 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     SW.FinishSeen = false;
     const int64_t C = SW.Chunk;
     SW.Chunk = -1;
-    if (Rep.LimitExceeded) {
-      Crashed = true;
-      Result.FailedChunk = C;
-      CrashDetail = strprintf(
-          "stage replica %u (chunk %lld) exceeded the access-set memory cap",
-          W, static_cast<long long>(C));
+    if (!Lane.account(Rep)) {
+      Lane.fail(C, strprintf("stage replica %u (chunk %lld) exceeded the "
+                             "access-set memory cap",
+                             W, static_cast<long long>(C)));
       return true;
     }
-    absorbReport(Rep);
     A.Rep = std::move(Rep);
     Arrived.emplace(C, std::move(A));
     LastProgressNs = nowNs();
@@ -953,9 +869,9 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   // Advances the modeled pipeline clock for one retired chunk. The chunk
   // occupies the LEAST-LOADED modeled replica lane, not the replica that
   // actually ran it here: on the modeled P-core machine the parent hands
-  // work to whichever replica is free, and the single-CPU host's scheduler
-  // skew (which timeshared process happened to finish chunks faster) must
-  // not leak into the modeled clock as phantom lane imbalance.
+  // work to whichever replica is free, and the host scheduler's skew
+  // (which process happened to finish chunks faster) must not leak into
+  // the modeled clock as phantom lane imbalance.
   auto advanceModel = [&](int64_t C, uint64_t SeqNs, uint64_t ParNs,
                           uint64_t CommitBytes, uint64_t CheckWords,
                           uint64_t TokenBytes) {
@@ -965,22 +881,22 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     const double CommitCost =
         static_cast<double>(CheckWords) * Model.CheckNsPerWord +
         static_cast<double>(CommitBytes) * Model.CommitNsPerByte;
-    double &Lane = *std::min_element(ParFreeNs.begin(), ParFreeNs.end());
+    double &ParLane = *std::min_element(ParFreeNs.begin(), ParFreeNs.end());
     if (SeqFirst) {
       // Sequential lane produces, a replica lane consumes; the parent lane
       // also pays the serialized validate/commit that closes the chunk.
       SeqLaneNs += static_cast<double>(SeqNs) + DispatchCost;
-      const double Start = std::max(SeqLaneNs, Lane);
+      const double Start = std::max(SeqLaneNs, ParLane);
       const double Done = Start + static_cast<double>(ParNs);
-      Lane = Done;
+      ParLane = Done;
       SeqLaneNs += CommitCost;
       RetireClockNs =
           std::max({RetireClockNs, Done + CommitCost, SeqLaneNs});
     } else {
       // Replica lane produces, the sequential lane consumes and commits.
-      const double Start = Lane + DispatchCost;
+      const double Start = ParLane + DispatchCost;
       const double Done = Start + static_cast<double>(ParNs);
-      Lane = Done;
+      ParLane = Done;
       const double SeqStart = std::max(Done, SeqLaneNs);
       SeqLaneNs = SeqStart + static_cast<double>(SeqNs) + CommitCost;
       RetireClockNs = std::max(RetireClockNs, SeqLaneNs);
@@ -990,33 +906,12 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
                  0, /*Arg0=*/SeqNs, /*Arg1=*/ParNs);
   };
 
-  // Commits one replica report (the parallel half of chunk \p C).
-  auto commitParHalf = [&](StageArrival &A, int64_t C) {
-    ++Result.Stats.NumCommitted;
-    Detector.recordCommitEpoch(A.Rep.Writes);
-    for (uintptr_t Key : A.Rep.Writes.words())
-      ParWriteWords.insert(Key);
-    A.Rep.Log.apply();
-    for (unsigned I = 0; I != A.Rep.Slots.size(); ++I)
-      if (A.Rep.Slots[I].Active && A.Rep.Slots[I].Touched)
-        TxnContext::commitReductionSlot(Spec.Reductions[I], A.Rep.Slots[I]);
-    if (Config.Allocator)
-      Config.Allocator->advanceBump(A.WorkerIdx + 1, A.Rep.BumpOffset);
-    if (Sink.events())
-      Sink.event(TraceEventKind::Commit, /*Worker=*/0, C, traceNowNs(), 0,
-                 /*Arg0=*/A.Rep.Log.dataBytes());
-  };
-
   // Validates the replica half of chunk \p C against the plan contract.
   auto validatePar = [&](const StageArrival &A, int64_t C) -> bool {
-    faultParentKillPoint(); // crash-restart: parent dies at validate
-    const uint64_t ValT0 = Sink.events() ? traceNowNs() : 0;
+    const ParentLane::ValidateClock V = Lane.beginValidate();
     const bool Conflicts =
         Detector.hasConflictSince(GenForkSeq, A.Rep.Reads, A.Rep.Writes);
-    if (Sink.events())
-      Sink.event(TraceEventKind::Validate, /*Worker=*/0, C, ValT0,
-                 traceNowNs() - ValT0, /*Arg0=*/Conflicts ? 1 : 0,
-                 /*Arg1=*/Detector.lastConflictWord());
+    Lane.endValidate(C, V, Conflicts, Detector.lastConflictWord());
     if (Conflicts) {
       planViolation(C, "replica stage overlapped a commit epoch");
       return false;
@@ -1030,7 +925,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
 
   // Retires every chunk whose report has arrived at the frontier.
   auto retireFrontier = [&] {
-    while (!Crashed && !RestartPending && Frontier != NumChunks) {
+    while (!Lane.failed() && !RestartPending && Frontier != NumChunks) {
       auto It = Arrived.find(Frontier);
       if (It == Arrived.end())
         return;
@@ -1038,8 +933,8 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       const int64_t C = Frontier;
       if (!validatePar(A, C))
         return;
-      const int64_t First = C * Cf;
-      const int64_t Last = std::min<int64_t>(First + Cf, N);
+      const int64_t First = Lane.first(C);
+      const int64_t Last = Lane.last(C);
       const uint64_t CheckWords =
           A.Rep.Reads.sizeWords() + A.Rep.Writes.sizeWords();
       const uint64_t TokenBytes =
@@ -1048,141 +943,61 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       const uint64_t ParNs = A.Rep.WorkNs;
       uint64_t SeqNs = 0;
       uint64_t CommitBytes = A.Rep.Log.dataBytes();
+      // Commit the replica half.
+      Detector.recordCommitEpoch(A.Rep.Writes);
+      for (uintptr_t Key : A.Rep.Writes.words())
+        ParWriteWords.insert(Key);
+      Lane.commit(A.Rep, C, /*Arena=*/A.WorkerIdx + 1, /*Retire=*/false);
       if (SeqFirst) {
         auto SIt = SeqOpen.find(C);
         assert(SIt != SeqOpen.end() && "retiring a chunk with no seq half");
-        SeqChunkState &SCS = SIt->second;
-        SeqNs = SCS.SeqNs;
-        commitParHalf(A, C);
-        // Retire the sequential half: its writes are already in place, so
-        // capture them as redo and commit (reduction merges, deferred
-        // frees) without restoring.
-        ++Result.Stats.NumTransactions;
-        ++Result.Stats.NumCommitted;
-        Result.Stats.ReadSetWords.add(
-            static_cast<double>(SCS.Ctx->readSet().sizeWords()));
-        Result.Stats.WriteSetWords.add(
-            static_cast<double>(SCS.Ctx->writeSet().sizeWords()));
-        Result.Stats.InstrReadCalls += SCS.Ctx->instrReadCalls();
-        Result.Stats.InstrWriteCalls += SCS.Ctx->instrWriteCalls();
-        Result.Stats.BytesRead += SCS.Ctx->bytesRead();
-        Result.Stats.BytesWritten += SCS.Ctx->bytesWritten();
-        Result.Stats.WorkerBusyNs += SCS.SeqNs;
-        CommitBytes += SCS.Ctx->writeLog().dataBytes();
-        SCS.Ctx->captureRedo();
-        SCS.Ctx->commitTxn();
-        CtxPool.push_back(std::move(SCS.Ctx));
+        SeqNs = SIt->second.SeqNs;
+        CommitBytes += commitSeqHalf(std::move(SIt->second.Ctx), SeqNs);
         SeqOpen.erase(SIt);
       } else {
-        commitParHalf(A, C);
         // Run the sequential half NOW, consuming the replica's tokens, and
         // commit it immediately — the frontier IS the sequential lane. The
         // context comes from (and returns to) the pool.
-        auto CtxPtr = takeSeqCtx();
-        TxnContext &Ctx = *CtxPtr;
-        Ctx.beginTxn();
+        auto Ctx = takeSeqCtx();
+        Ctx->beginTxn();
         const uint64_t T0 = cpuNowNs();
         for (int64_t I = First; I != Last; ++I)
-          Spec.Stage.Second(Ctx, I,
+          Spec.Stage.Second(*Ctx, I,
                             A.Tokens[static_cast<size_t>(I - First)]);
         SeqNs = cpuNowNs() - T0;
-        if (Ctx.limitExceeded()) {
-          Ctx.suspendTxn();
-          Ctx.abortTxn();
-          CtxPool.push_back(std::move(CtxPtr));
-          Crashed = true;
-          Result.FailedChunk = C;
-          CrashDetail = strprintf("sequential stage (chunk %lld) exceeded "
-                                  "the access-set memory cap",
-                                  static_cast<long long>(C));
+        if (!sealSeqHalf(Ctx, C))
           return;
-        }
-        if (setOverlaps(Ctx.readSet(), ParWriteWords) ||
-            setOverlaps(Ctx.writeSet(), ParWriteWords)) {
-          Ctx.suspendTxn();
-          Ctx.abortTxn();
-          CtxPool.push_back(std::move(CtxPtr));
-          planViolation(C, "sequential stage touched replica-stage writes");
-          return;
-        }
-        Detector.recordCommitEpoch(Ctx.writeSet());
-        for (uintptr_t Key : Ctx.readSet().words())
-          SeqReadWords.insert(Key);
-        ++Result.Stats.NumTransactions;
-        ++Result.Stats.NumCommitted;
-        Result.Stats.ReadSetWords.add(
-            static_cast<double>(Ctx.readSet().sizeWords()));
-        Result.Stats.WriteSetWords.add(
-            static_cast<double>(Ctx.writeSet().sizeWords()));
-        Result.Stats.InstrReadCalls += Ctx.instrReadCalls();
-        Result.Stats.InstrWriteCalls += Ctx.instrWriteCalls();
-        Result.Stats.BytesRead += Ctx.bytesRead();
-        Result.Stats.BytesWritten += Ctx.bytesWritten();
-        Result.Stats.WorkerBusyNs += SeqNs;
-        CommitBytes += Ctx.writeLog().dataBytes();
-        Ctx.captureRedo();
-        Ctx.commitTxn();
-        CtxPool.push_back(std::move(CtxPtr));
+        CommitBytes += commitSeqHalf(std::move(Ctx), SeqNs);
       }
       advanceModel(C, SeqNs, ParNs, CommitBytes, CheckWords, TokenBytes);
       // Journal only at full retirement — after BOTH halves committed.
       // Appending earlier, while the sequential half can still fail
       // (limit breach, plan violation), would duplicate the chunk: the
       // engine would re-run it and a restart would also replay it.
-      if (Config.Journal)
-        Config.Journal->appendCommit(C, First, Last, &A.Rep.Log);
-      faultParentKillPoint(); // crash-restart: parent dies at commit
-      Result.CommitOrder.push_back(C);
+      Lane.retireChunk(C, A.Rep.Log);
       Arrived.erase(It);
       ++Frontier;
-      FaultCounts.erase(C);
+      Lane.clearFaults(C);
       LastProgressNs = nowNs();
     }
   };
 
-  auto crashExit = [&](RunStatus Status, const std::string &Detail) {
-    killAllWorkers();
-    rollbackOpenSeq();
-    Result.Status = Status;
-    Result.Detail = Detail;
-    finishStats();
-    return Result;
-  };
-
   ::signal(SIGPIPE, SIG_IGN);
-  ensureShutdownSupervisorInstalled();
   if (!forkAllWorkers()) {
     // First generation could not even fork; chunkFault already charged it.
-    if (!Crashed) {
-      Crashed = true;
-      Result.FailedChunk = Frontier;
-      CrashDetail = "stage replica fork failed";
-    }
-    return crashExit(RunStatus::Crash, CrashDetail);
+    Lane.fail(Frontier, "stage replica fork failed");
+    return stop(RunStatus::Crash, std::string());
   }
 
   while (Frontier != NumChunks) {
-    if (shutdownRequested()) {
-      // Graceful wind-down: crashExit SIGKILLs and reaps every replica and
-      // rolls open sequential halves back, so memory is committed state
-      // and nothing is orphaned; the partial result is valid as-is.
-      if (Sink.events())
-        Sink.event(TraceEventKind::Interrupt, /*Worker=*/0, /*Chunk=*/-1,
-                   traceNowNs(), 0,
-                   /*Arg0=*/static_cast<uint64_t>(Frontier));
-      return crashExit(
-          RunStatus::Interrupted,
-          strprintf("interrupted by shutdown request (signal %d) with %lld "
-                    "of %lld chunks retired",
-                    shutdownSignal(), static_cast<long long>(Frontier),
-                    static_cast<long long>(NumChunks)));
-    }
-    if (Crashed)
-      return crashExit(RunStatus::Crash, CrashDetail);
+    if (shutdownRequested())
+      return stop(RunStatus::Interrupted, std::string());
+    if (Lane.failed())
+      return stop(RunStatus::Crash, std::string());
     if (RestartPending) {
       restartWorld();
-      if (Crashed)
-        return crashExit(RunStatus::Crash, CrashDetail);
+      if (Lane.failed())
+        return stop(RunStatus::Crash, std::string());
       if (RestartPending) {
         ::poll(nullptr, 0, 1); // transient fork failure: back off, retry
         continue;
@@ -1192,24 +1007,25 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     // Run the sequential lane ahead of the frontier (SeqFirst): each half
     // produces the tokens its replica half will consume.
     if (SeqFirst) {
-      while (!Crashed && NextSeq != NumChunks &&
+      while (!Lane.failed() && NextSeq != NumChunks &&
              NextSeq - Frontier < LeadMax) {
         execSeqChunk(NextSeq);
-        if (Crashed || RestartPending)
+        if (Lane.failed() || RestartPending)
           break;
         ++NextSeq;
       }
     } else {
       NextSeq = std::min<int64_t>(Frontier + LeadMax, NumChunks);
     }
-    if (Crashed || RestartPending)
+    if (Lane.failed() || RestartPending)
       continue;
 
     // Feed free replicas. A ready chunk with no free replica is the
     // backpressure stall the StageStalled counter records.
     const int64_t DispatchableEnd = SeqFirst ? NextSeq : NumChunks;
     while (NextDispatch < DispatchableEnd &&
-           NextDispatch - Frontier < LeadMax && !Crashed && !RestartPending) {
+           NextDispatch - Frontier < LeadMax && !Lane.failed() &&
+           !RestartPending) {
       int FreeW = -1;
       for (unsigned W = 0; W != NumPar; ++W)
         if (Workers[W].Pid > 0 && Workers[W].Chunk < 0) {
@@ -1219,7 +1035,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       if (FreeW < 0) {
         if (LastStallChunk != NextDispatch) {
           LastStallChunk = NextDispatch;
-          ++Result.Stats.StageStalled;
+          ++Stats.StageStalled;
           if (Sink.events())
             Sink.event(TraceEventKind::StageStall, /*Worker=*/0,
                        NextDispatch, traceNowNs(), 0,
@@ -1229,30 +1045,30 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
         break;
       }
       dispatchChunk(static_cast<unsigned>(FreeW), NextDispatch);
-      if (Crashed || RestartPending)
+      if (Lane.failed() || RestartPending)
         break;
       ++NextDispatch;
     }
-    if (Crashed || RestartPending)
+    if (Lane.failed() || RestartPending)
       continue;
 
     retireFrontier();
-    if (Crashed || RestartPending || Frontier == NumChunks)
+    if (Lane.failed() || RestartPending || Frontier == NumChunks)
       continue;
 
     // Wait for replica doorbells. Every live replica is polled — an idle
     // one can still die and must be noticed before the next dispatch.
     std::vector<pollfd> Fds;
     std::vector<unsigned> FdWorkers;
-    bool AnyBusy = false;
+    uint64_t Busy = 0;
     for (unsigned W = 0; W != NumPar; ++W) {
       if (Workers[W].Pid <= 0)
         continue;
       Fds.push_back({Workers[W].BellR, POLLIN, 0});
       FdWorkers.push_back(W);
-      AnyBusy = AnyBusy || Workers[W].Chunk >= 0;
+      Busy += Workers[W].Chunk >= 0 ? 1 : 0;
     }
-    if (Fds.empty() || !AnyBusy) {
+    if (Busy == 0) {
       ::poll(nullptr, 0, 1);
     } else {
       const int PollTimeoutMs = DeadlineNs == 0 ? -1 : 100;
@@ -1265,9 +1081,10 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
         Sink.event(TraceEventKind::PollWake, /*Worker=*/0, /*Chunk=*/-1,
                    PollT0, traceNowNs() - PollT0,
                    /*Arg0=*/static_cast<uint64_t>(Ready));
+      Lane.sample(Busy, /*Force=*/false);
       if (Ready < 0)
-        return crashExit(RunStatus::Crash,
-                         "poll() failed in stage-pipeline executor");
+        return stop(RunStatus::Crash,
+                    "poll() failed in stage-pipeline executor");
       for (size_t F = 0; F != Fds.size(); ++F) {
         if (!(Fds[F].revents & (POLLIN | POLLHUP | POLLERR)))
           continue;
@@ -1301,31 +1118,29 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
           SW.OutRing->drainInto(SW.Buf);
           completeWorker(W);
         }
-        if (Crashed)
-          return crashExit(RunStatus::Crash, CrashDetail);
+        if (Lane.failed())
+          return stop(RunStatus::Crash, std::string());
       }
       retireFrontier();
-      if (Crashed)
-        return crashExit(RunStatus::Crash, CrashDetail);
+      if (Lane.failed())
+        return stop(RunStatus::Crash, std::string());
     }
 
     if (DeadlineNs != 0) {
       const uint64_t SimNow = static_cast<uint64_t>(RetireClockNs);
       if (AccumulatedSimNs + SimNow > DeadlineNs)
-        return crashExit(
+        return stop(
             RunStatus::Timeout,
             "staged execution time exceeded the 10x-sequential deadline");
       const uint64_t Now = nowNs();
       const uint64_t Backstop = std::max(DeadlineNs, StageStallFloorNs);
       if (Now - LastProgressNs > Backstop)
-        return crashExit(RunStatus::Timeout,
-                         "stage pipeline made no progress within the "
-                         "deadline (hung replica)");
+        return stop(RunStatus::Timeout,
+                    "stage pipeline made no progress within the "
+                    "deadline (hung replica)");
     }
   }
 
   assert(SeqOpen.empty() && "open sequential halves outlived the run");
-  killAllWorkers();
-  finishStats();
-  return Result;
+  return stop(RunStatus::Success, std::string());
 }

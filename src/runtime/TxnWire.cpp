@@ -100,9 +100,7 @@ private:
   bool Failed = false;
 };
 
-constexpr uint64_t MessageMagicV3 = 0x33414c544552ULL; // "ALTER3"
-constexpr uint64_t MessageMagicV4 = 0x34414c544552ULL; // "ALTER4"
-constexpr uint64_t MessageMagicV5 = 0x35414c544552ULL; // "ALTER5"
+constexpr uint64_t MessageMagic = 0x35414c544552ULL; // "ALTER5"
 constexpr size_t FrameHeaderBytes = 3 * sizeof(uint64_t);
 
 /// Fixed wire size of one TRACE-section event: 6 u64 slots (StartNs, DurNs,
@@ -117,24 +115,6 @@ constexpr uint64_t MaxWireSetWords = 1ULL << 26;
 void writeAllToPipe(int Fd, const void *Data, size_t Size) {
   if (!writeFull(Fd, Data, Size))
     _exit(11); // cannot report further; parent sees an abnormal exit
-}
-
-/// Applies the kernel-enforced per-child caps. Best-effort: lowering a
-/// limit cannot fail for an unprivileged process, and a cap that cannot be
-/// applied leaves the parent deadline as the (slower) backstop.
-void applyChildRlimits(const ExecutorConfig &Config) {
-  if (Config.ChildCpuSeconds != 0) {
-    rlimit R;
-    R.rlim_cur = static_cast<rlim_t>(Config.ChildCpuSeconds);
-    R.rlim_max = static_cast<rlim_t>(Config.ChildCpuSeconds + 1);
-    (void)::setrlimit(RLIMIT_CPU, &R);
-  }
-  if (Config.ChildAddressSpaceBytes != 0) {
-    rlimit R;
-    R.rlim_cur = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
-    R.rlim_max = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
-    (void)::setrlimit(RLIMIT_AS, &R);
-  }
 }
 
 void sleepNs(uint64_t Ns) {
@@ -172,6 +152,21 @@ static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
               "wireCrc32 folds 8-byte words in little-endian order");
 
 } // namespace
+
+void alter::applyChildRlimits(const ExecutorConfig &Config) {
+  if (Config.ChildCpuSeconds != 0) {
+    rlimit R;
+    R.rlim_cur = static_cast<rlim_t>(Config.ChildCpuSeconds);
+    R.rlim_max = static_cast<rlim_t>(Config.ChildCpuSeconds + 1);
+    (void)::setrlimit(RLIMIT_CPU, &R);
+  }
+  if (Config.ChildAddressSpaceBytes != 0) {
+    rlimit R;
+    R.rlim_cur = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
+    R.rlim_max = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
+    (void)::setrlimit(RLIMIT_AS, &R);
+  }
+}
 
 uint32_t alter::wireCrc32(const uint8_t *Data, size_t Size) {
   const auto &T = Crc32.T;
@@ -407,8 +402,8 @@ std::vector<uint8_t> alter::encodeCommitFrame(TxnContext &Ctx,
   // The METRICS blob must be serialized before the CommitAttempt event so
   // the event's wire-size prediction is exact, and the recordings must land
   // before the blob so this frame carries its own serialize latency and
-  // sizes. WireFrameBytes deliberately excludes the optional trace/metrics
-  // sections — the registry cannot contain its own size.
+  // sizes. WireFrameBytes deliberately excludes the trace/metrics sections
+  // — the registry cannot contain its own size.
   std::vector<uint8_t> MetricsBlob;
   if (Metrics) {
     Metrics->record(HistogramId::SerializeNs, nowNs() - SerT0);
@@ -421,8 +416,7 @@ std::vector<uint8_t> alter::encodeCommitFrame(TxnContext &Ctx,
     Metrics->serialize(MetricsBlob);
     Metrics->reset(); // each frame ships deltas since the previous one
   }
-  const uint64_t MetricsSectionBytes =
-      Metrics ? sizeof(uint64_t) + MetricsBlob.size() : 0;
+  const uint64_t MetricsSectionBytes = sizeof(uint64_t) + MetricsBlob.size();
 
   if (Trace.events()) {
     Trace.record(TraceEventKind::Serialize, Worker, Chunk, traceNowNs(), 0,
@@ -461,8 +455,8 @@ std::vector<uint8_t> alter::encodeCommitFrame(TxnContext &Ctx,
   W.u64(Config.Allocator ? Config.Allocator->bumpOffset(Worker) : 0);
   W.u64(RawBytes);
   W.raw(Body.bytes().data(), Body.bytes().size());
-  // TRACE section: count, then fixed-size events. Always present in an
-  // ALTER4 frame; the count is simply 0 below TraceLevel::Events.
+  // TRACE section: count, then fixed-size events; the count is simply 0
+  // below TraceLevel::Events.
   W.u64(Trace.buffer().size());
   for (const TraceEvent &E : Trace.buffer()) {
     W.u64(E.StartNs);
@@ -474,16 +468,15 @@ std::vector<uint8_t> alter::encodeCommitFrame(TxnContext &Ctx,
           (static_cast<uint64_t>(E.Kind) << 32));
   }
 
-  // METRICS section (ALTER5 only): blob length, then the sparse registry.
-  if (Metrics) {
-    W.u64(MetricsBlob.size());
-    W.raw(MetricsBlob.data(), MetricsBlob.size());
-  }
+  // METRICS section: blob length, then the sparse registry; the length is
+  // simply 0 with metrics off.
+  W.u64(MetricsBlob.size());
+  W.raw(MetricsBlob.data(), MetricsBlob.size());
 
   // Frame the payload: magic | payload length | CRC32. The parent verifies
   // all three before trusting a byte of the payload.
   ByteWriter Framed;
-  Framed.u64(Metrics ? MessageMagicV5 : MessageMagicV4);
+  Framed.u64(MessageMagic);
   Framed.u64(W.bytes().size());
   Framed.u64(wireCrc32(W.bytes().data(), W.bytes().size()));
   Framed.raw(W.bytes().data(), W.bytes().size());
@@ -611,9 +604,11 @@ struct CommitRecordHeader {
 };
 
 /// Applies one commit-stream record, exactly as the parent applied the
-/// commit. False when the record does not decode.
+/// commit. False when the record does not decode. \p Slots is scratch
+/// space kept across records.
 bool applyCommitRecord(const std::vector<uint8_t> &Record,
-                       const LoopSpec &Spec, const ExecutorConfig &Config) {
+                       const LoopSpec &Spec, const ExecutorConfig &Config,
+                       std::vector<TxnContext::RedSlotState> &Slots) {
   CommitRecordHeader Hdr;
   if (Record.size() < sizeof(Hdr))
     return false;
@@ -629,21 +624,27 @@ bool applyCommitRecord(const std::vector<uint8_t> &Record,
   if (!WriteLog::deserializeCompactChecked(
           LogData, Record.size() - sizeof(Hdr) - SlotBytes, Log))
     return false;
-  Log.apply();
-  for (size_t I = 0; I != Spec.Reductions.size(); ++I) {
-    TxnContext::RedSlotState Slot;
-    std::memcpy(&Slot, Record.data() + sizeof(Hdr) + I * sizeof(Slot),
-                sizeof(Slot));
-    if (Slot.Active && Slot.Touched)
-      TxnContext::commitReductionSlot(Spec.Reductions[I], Slot);
-  }
-  if (Config.Allocator)
-    Config.Allocator->advanceBump(static_cast<unsigned>(Hdr.Worker),
-                                  static_cast<size_t>(Hdr.BumpOffset));
+  Slots.resize(Spec.Reductions.size());
+  if (SlotBytes != 0)
+    std::memcpy(Slots.data(), Record.data() + sizeof(Hdr), SlotBytes);
+  applyCommit(Spec, Config, static_cast<unsigned>(Hdr.Worker), Log, Slots,
+              Hdr.BumpOffset);
   return true;
 }
 
 } // namespace
+
+void alter::applyCommit(const LoopSpec &Spec, const ExecutorConfig &Config,
+                        unsigned Worker, const WriteLog &Log,
+                        const std::vector<TxnContext::RedSlotState> &Slots,
+                        uint64_t BumpOffset) {
+  Log.apply();
+  for (size_t I = 0; I != Slots.size(); ++I)
+    if (Slots[I].Active && Slots[I].Touched)
+      TxnContext::commitReductionSlot(Spec.Reductions[I], Slots[I]);
+  if (Config.Allocator)
+    Config.Allocator->advanceBump(Worker, static_cast<size_t>(BumpOffset));
+}
 
 void alter::appendCommitRecord(CommitStream &Stream, unsigned Worker,
                                const ChildReport &Rep) {
@@ -660,11 +661,12 @@ CommitStream::ReadResult alter::catchUpCommits(const CommitStream &Stream,
                                                const LoopSpec &Spec,
                                                const ExecutorConfig &Config) {
   std::vector<uint8_t> Record;
+  std::vector<TxnContext::RedSlotState> Slots;
   while (Cursor.Seq < TargetSeq) {
     const CommitStream::ReadResult R = Stream.next(Cursor, Record);
     if (R != CommitStream::ReadResult::Ok)
       return R;
-    if (!applyCommitRecord(Record, Spec, Config))
+    if (!applyCommitRecord(Record, Spec, Config, Slots))
       return CommitStream::ReadResult::Corrupt;
   }
   return CommitStream::ReadResult::Ok;
@@ -675,8 +677,7 @@ bool alter::wireFrameLooksComplete(const uint8_t *Bytes, size_t Size) {
     return false;
   uint64_t Magic, PayloadLen;
   std::memcpy(&Magic, Bytes, sizeof(Magic));
-  if (Magic != MessageMagicV3 && Magic != MessageMagicV4 &&
-      Magic != MessageMagicV5)
+  if (Magic != MessageMagic)
     return true; // corrupt header: length untrustworthy, let decode reject
   std::memcpy(&PayloadLen, Bytes + sizeof(uint64_t), sizeof(PayloadLen));
   // Overflow-safe: compare payload bytes present, not header + length.
@@ -693,8 +694,7 @@ bool alter::decodeChildReport(const std::vector<uint8_t> &Bytes,
   }
   ByteReader R(Bytes.data(), Bytes.size());
   const uint64_t Magic = R.u64();
-  if (Magic != MessageMagicV3 && Magic != MessageMagicV4 &&
-      Magic != MessageMagicV5) {
+  if (Magic != MessageMagic) {
     Error = "bad message magic";
     return false;
   }
@@ -771,22 +771,11 @@ bool alter::decodeChildReport(const std::vector<uint8_t> &Bytes,
     Error = "message length inconsistent with contents";
     return false;
   }
-  if (Magic == MessageMagicV3) {
-    // V3 frames end at the reduction slots.
-    if (!R.exhausted()) {
-      Error = "message length inconsistent with contents";
-      return false;
-    }
-    return true;
-  }
 
-  // V4/V5: the TRACE section. Bound the allocation by the physical bytes
-  // remaining; a V4 frame must end with it (consume exactly), a V5 frame
-  // is followed by the METRICS section, which consumes the rest.
+  // The TRACE section. Bound the allocation by the physical bytes
+  // remaining; the METRICS section follows it.
   const uint64_t NumEvents = R.u64();
-  if (R.failed() || NumEvents > R.remaining() / TraceEventWireBytes ||
-      (Magic == MessageMagicV4 &&
-       NumEvents * TraceEventWireBytes != R.remaining())) {
+  if (R.failed() || NumEvents > R.remaining() / TraceEventWireBytes) {
     Error = "corrupt trace section";
     return false;
   }
@@ -808,25 +797,20 @@ bool alter::decodeChildReport(const std::vector<uint8_t> &Bytes,
     E.Kind = static_cast<TraceEventKind>(Kind);
     Rep.Trace.push_back(E);
   }
-  if (Magic == MessageMagicV4) {
-    if (R.failed() || !R.exhausted()) {
-      Error = "message length inconsistent with contents";
-      return false;
-    }
-    return true;
-  }
 
-  // V5: the METRICS section — blob length, then the sparse registry, which
-  // must consume the remaining bytes exactly. The blob's internal
-  // consistency (ids in range, bucket totals matching counts) is checked
-  // by the registry decoder; any violation rejects the whole frame.
+  // The METRICS section — blob length, then the sparse registry, which
+  // must consume the remaining bytes exactly (an empty blob: metrics off).
+  // The blob's internal consistency (ids in range, bucket totals matching
+  // counts) is checked by the registry decoder; any violation rejects the
+  // whole frame.
   const uint64_t MetricsBytes = R.u64();
   if (R.failed() || MetricsBytes != R.remaining()) {
     Error = "corrupt metrics section";
     return false;
   }
   const uint8_t *Blob = R.raw(static_cast<size_t>(MetricsBytes));
-  if (!MetricsRegistry::deserialize(Blob, static_cast<size_t>(MetricsBytes),
+  if (MetricsBytes != 0 &&
+      !MetricsRegistry::deserialize(Blob, static_cast<size_t>(MetricsBytes),
                                     Rep.Metrics)) {
     Error = "corrupt metrics blob";
     return false;

@@ -6,9 +6,8 @@
 ///
 /// \file
 /// The commit message a forked child ships to its parent, shared by the
-/// round-barrier ForkJoinExecutor and the pipelined PipelineExecutor: the
-/// chunk's access sets, write log, reduction deltas, arena cursor, and
-/// instrumentation counters.
+/// three fork engines: the chunk's access sets, write log, reduction
+/// deltas, arena cursor, and instrumentation counters.
 ///
 /// The format is compressed (§4.1 ships these over every commit, so pipe
 /// traffic is a first-order cost):
@@ -32,19 +31,17 @@
 ///    structural inconsistencies instead of aborting;
 ///  - pipe I/O retries on EINTR and treats hard errors as truncation.
 ///
-/// Versioning: with metrics off children emit "ALTER4" frames, which
-/// append an optional TRACE section after the reduction slots — a u64
-/// event count followed by that many fixed-size (6 x u64) TraceEvents
-/// recorded inside the child (chunk start/exec, serialize, commit
-/// attempt). With metrics on (ExecutorConfig::Metrics) they emit "ALTER5"
-/// frames, which append one more section after TRACE: METRICS, a u64 blob
-/// length followed by the child's sparse MetricsRegistry wire form
-/// (per-chunk latency/size histograms, take-and-reset per frame). Counts
-/// and lengths are validated against the physical bytes remaining before
-/// any allocation, and the decoder still accepts "ALTER4" and "ALTER3"
-/// frames (each of which must end at its last section), so a parent with
-/// this decoder understands all three formats — and a metrics-off run is
-/// byte-identical to the previous release.
+/// Versioning: parent and children are always forks of one binary, so
+/// there is exactly one format, "ALTER5". After the reduction slots come
+/// two sections: TRACE, a u64 event count followed by that many fixed-size
+/// (6 x u64) TraceEvents recorded inside the child (chunk start/exec,
+/// serialize, commit attempt), and METRICS, a u64 blob length followed by
+/// the child's sparse MetricsRegistry wire form (per-chunk latency/size
+/// histograms, take-and-reset per frame). Off, each section is empty: a
+/// zero count below TraceLevel::Events, a zero length with metrics off
+/// (ExecutorConfig::Metrics). Counts and lengths are validated against the
+/// physical bytes remaining before any allocation, and the frame must end
+/// exactly at the METRICS section's last byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,11 +86,11 @@ struct ChildReport {
   std::vector<uint8_t> LogWire;
   std::vector<TxnContext::RedSlotState> Slots;
   /// Child-side trace events from the message's TRACE section (empty below
-  /// TraceLevel::Events or for ALTER3 frames).
+  /// TraceLevel::Events).
   std::vector<TraceEvent> Trace;
-  /// Child-side metrics from the message's METRICS section (empty for
-  /// ALTER3/ALTER4 frames, i.e. whenever the run has metrics off). The
-  /// parent merges it into RunResult::Metrics.
+  /// Child-side metrics from the message's METRICS section (empty whenever
+  /// the run has metrics off). The parent merges it into
+  /// RunResult::Metrics.
   MetricsRegistry Metrics;
 };
 
@@ -171,6 +168,16 @@ constexpr int StreamOverrunExitStatus = 14;
 void appendCommitRecord(CommitStream &Stream, unsigned Worker,
                         const ChildReport &Rep);
 
+/// Applies one commit's effects to this process's memory: the write log,
+/// the touched reduction slots, and arena \p Worker's bump cursor. The
+/// parent's commit lane (ParentLane::commit) and the replicas' commit
+/// stream replay (catchUpCommits) both apply through here, so parent
+/// memory and replica memory cannot diverge.
+void applyCommit(const LoopSpec &Spec, const ExecutorConfig &Config,
+                 unsigned Worker, const WriteLog &Log,
+                 const std::vector<TxnContext::RedSlotState> &Slots,
+                 uint64_t BumpOffset);
+
 /// Replica side: replays every record of \p Stream after \p Cursor
 /// through sequence number \p TargetSeq into this process's memory (write
 /// log, reduction slots, arena cursor — the same effects as the parent's
@@ -183,6 +190,12 @@ CommitStream::ReadResult catchUpCommits(const CommitStream &Stream,
                                         const LoopSpec &Spec,
                                         const ExecutorConfig &Config);
 
+/// Applies the kernel-enforced per-child caps of \p Config (RLIMIT_CPU,
+/// RLIMIT_AS) to the calling child. Best-effort: lowering a limit cannot
+/// fail for an unprivileged process, and a cap that cannot be applied
+/// leaves the parent deadline as the (slower) backstop.
+void applyChildRlimits(const ExecutorConfig &Config);
+
 /// Child side: serializes the framed commit message for a transaction
 /// already executed in \p Ctx (after captureRedo or suspendTxn): fixed
 /// header, compressed access sets, write log, reduction slots, TRACE
@@ -191,12 +204,12 @@ CommitStream::ReadResult catchUpCommits(const CommitStream &Stream,
 /// transactional children (the stage-pipeline workers) can ship through
 /// the identical validate/commit path. Records the Serialize/CommitAttempt
 /// trace events into \p Trace before encoding the TRACE section. With
-/// \p Metrics null the frame is the byte-identical ALTER4 format of
-/// previous releases; with a registry the frame is ALTER5 and carries the
-/// registry (after recording this frame's serialize latency and sizes into
-/// it) in the METRICS section, then RESETS it — each frame ships the
-/// deltas since the previous one, so the parent-side merge across frames
-/// double-counts nothing.
+/// \p Metrics null the METRICS section is empty, and equal transactions
+/// encode to identical bytes; with a registry the frame carries it (after
+/// recording this frame's serialize latency and sizes into it) in the
+/// METRICS section, then RESETS it — each frame ships the deltas since the
+/// previous one, so the parent-side merge across frames double-counts
+/// nothing.
 std::vector<uint8_t> encodeCommitFrame(TxnContext &Ctx,
                                        const ExecutorConfig &Config,
                                        unsigned Worker, int64_t Chunk,

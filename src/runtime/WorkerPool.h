@@ -14,7 +14,7 @@
 /// the commit message crosses a kernel pipe. The pool amortizes both. The
 /// parent forks the template once; the template is a small, quiescent
 /// process that forks the per-chunk children on command. Children publish
-/// their ALTER4/5 records into their slot's CommitRing; only 1-byte
+/// their commit frames into their slot's CommitRing; only 1-byte
 /// doorbells cross pipes.
 ///
 /// Commit stream (parent -> every replica): the parent appends each

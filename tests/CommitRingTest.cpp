@@ -38,12 +38,12 @@ std::vector<uint8_t> patternBytes(size_t N, uint8_t Seed) {
   return Out;
 }
 
-/// A minimal well-formed frame header (ALTER4 magic, PayloadLen, CRC32)
+/// A minimal well-formed frame header (ALTER5 magic, PayloadLen, CRC32)
 /// followed by PayloadLen payload bytes. The CRC is real, so the only
 /// reason the full decode would reject it is structural (which these tests
 /// don't reach — they stop at frame completion).
 std::vector<uint8_t> framedRecord(uint64_t PayloadLen) {
-  const uint64_t Magic = 0x34414c544552ULL; // "ALTER4"
+  const uint64_t Magic = 0x35414c544552ULL; // "ALTER5"
   std::vector<uint8_t> Payload(static_cast<size_t>(PayloadLen), 0x5a);
   const uint64_t Crc = wireCrc32(Payload.data(), Payload.size());
   std::vector<uint8_t> Out;

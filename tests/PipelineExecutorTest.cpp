@@ -280,8 +280,7 @@ TEST(MetricsRegistryTest, SerializeDeserializeRoundTrips) {
 namespace {
 
 /// Executes a small disjoint-stores chunk transactionally and encodes its
-/// commit frame, with or without a child metrics registry (ALTER5 vs
-/// ALTER4).
+/// commit frame, with or without a child metrics registry.
 std::vector<uint8_t> encodeTestFrame(const LoopSpec &Spec,
                                      const ExecutorConfig &Config,
                                      std::vector<int64_t> &Data,
@@ -306,7 +305,7 @@ uint64_t frameMagic(const std::vector<uint8_t> &Frame) {
 
 } // namespace
 
-TEST(CommitFrameVersionTest, Alter4AndAlter5BothRoundTrip) {
+TEST(CommitFrameVersionTest, MetricsOffAndOnFramesBothRoundTrip) {
   std::vector<int64_t> Data(16, 0);
   LoopSpec Spec;
   Spec.NumIterations = 16;
@@ -316,56 +315,60 @@ TEST(CommitFrameVersionTest, Alter4AndAlter5BothRoundTrip) {
   ExecutorConfig Config;
   Config.NumWorkers = 1;
 
-  // Metrics off: the ALTER4 frame of previous releases, byte-identical
-  // across encodes (the registry must not perturb the metrics-off path).
-  const std::vector<uint8_t> V4 = encodeTestFrame(Spec, Config, Data, nullptr);
-  const std::vector<uint8_t> V4Again =
+  // Metrics off: an empty METRICS section, byte-identical across encodes
+  // (the registry must not perturb the metrics-off path).
+  const std::vector<uint8_t> Off = encodeTestFrame(Spec, Config, Data, nullptr);
+  const std::vector<uint8_t> OffAgain =
       encodeTestFrame(Spec, Config, Data, nullptr);
-  EXPECT_EQ(V4, V4Again);
-  EXPECT_EQ(frameMagic(V4), 0x34414c544552ULL); // "ALTER4" little-endian
+  EXPECT_EQ(Off, OffAgain);
 
-  // Metrics on: the ALTER5 frame carries the registry in its METRICS
-  // section and resets it (per-frame deltas).
+  // Metrics on: the frame carries the registry in its METRICS section and
+  // resets it (per-frame deltas). There is one frame format either way.
   MetricsRegistry Reg;
   Reg.record(HistogramId::ChunkExecNs, 1234);
   Reg.addCounter(CounterId::ChildChunks);
-  const std::vector<uint8_t> V5 = encodeTestFrame(Spec, Config, Data, &Reg);
-  EXPECT_EQ(frameMagic(V5), 0x35414c544552ULL); // "ALTER5" little-endian
-  EXPECT_GT(V5.size(), V4.size());
+  const std::vector<uint8_t> On = encodeTestFrame(Spec, Config, Data, &Reg);
+  EXPECT_EQ(frameMagic(On), 0x35414c544552ULL); // "ALTER5" little-endian
+  EXPECT_EQ(frameMagic(Off), frameMagic(On));
+  EXPECT_GT(On.size(), Off.size());
   EXPECT_TRUE(Reg.empty()) << "encode must take-and-reset the registry";
 
-  // Both decode through the one parent-side decoder; the V4 report has an
-  // empty registry, the V5 report carries the child's.
-  ChildReport Rep4, Rep5;
+  // Both decode through the one parent-side decoder; the metrics-off
+  // report has an empty registry, the metrics-on report carries the
+  // child's.
+  ChildReport RepOff, RepOn;
   std::string Error;
-  ASSERT_TRUE(decodeChildReport(V4, Spec, Config.Params, Rep4, Error))
+  ASSERT_TRUE(decodeChildReport(Off, Spec, Config.Params, RepOff, Error))
       << Error;
-  EXPECT_TRUE(Rep4.Metrics.empty());
-  ASSERT_TRUE(decodeChildReport(V5, Spec, Config.Params, Rep5, Error))
+  EXPECT_TRUE(RepOff.Metrics.empty());
+  ASSERT_TRUE(decodeChildReport(On, Spec, Config.Params, RepOn, Error))
       << Error;
-  EXPECT_EQ(Rep5.Metrics.counter(CounterId::ChildChunks), 1u);
-  EXPECT_EQ(Rep5.Metrics.counter(CounterId::ChildFrames), 1u);
-  EXPECT_EQ(Rep5.Metrics.histogram(HistogramId::ChunkExecNs).Count, 1u);
-  EXPECT_EQ(Rep5.Metrics.histogram(HistogramId::ChunkExecNs).Sum, 1234u);
-  EXPECT_EQ(Rep5.Metrics.histogram(HistogramId::SerializeNs).Count, 1u);
-  EXPECT_EQ(Rep5.Metrics.histogram(HistogramId::WriteLogBytes).Count, 1u);
-  // WireFrameBytes excludes the optional sections (the registry cannot
-  // contain its own size): header + fixed fields + body only.
+  EXPECT_EQ(RepOn.Metrics.counter(CounterId::ChildChunks), 1u);
+  EXPECT_EQ(RepOn.Metrics.counter(CounterId::ChildFrames), 1u);
+  EXPECT_EQ(RepOn.Metrics.histogram(HistogramId::ChunkExecNs).Count, 1u);
+  EXPECT_EQ(RepOn.Metrics.histogram(HistogramId::ChunkExecNs).Sum, 1234u);
+  EXPECT_EQ(RepOn.Metrics.histogram(HistogramId::SerializeNs).Count, 1u);
+  EXPECT_EQ(RepOn.Metrics.histogram(HistogramId::WriteLogBytes).Count, 1u);
+  // WireFrameBytes excludes the trace/metrics sections (the registry
+  // cannot contain its own size): header + fixed fields + body only.
   const LatencyHistogram &FrameH =
-      Rep5.Metrics.histogram(HistogramId::WireFrameBytes);
+      RepOn.Metrics.histogram(HistogramId::WireFrameBytes);
   EXPECT_EQ(FrameH.Count, 1u);
-  EXPECT_LT(FrameH.Max, V5.size());
+  EXPECT_LT(FrameH.Max, On.size());
 
   // The two reports agree on everything the commit path consumes.
-  EXPECT_EQ(Rep4.WorkNs, Rep5.WorkNs);
-  EXPECT_EQ(Rep4.BytesWritten, Rep5.BytesWritten);
-  EXPECT_EQ(Rep4.Writes.sizeWords(), Rep5.Writes.sizeWords());
-  EXPECT_EQ(Rep4.Log.numEntries(), Rep5.Log.numEntries());
+  EXPECT_EQ(RepOff.WorkNs, RepOn.WorkNs);
+  EXPECT_EQ(RepOff.BytesWritten, RepOn.BytesWritten);
+  EXPECT_EQ(RepOff.Writes.sizeWords(), RepOn.Writes.sizeWords());
+  EXPECT_EQ(RepOff.Log.numEntries(), RepOn.Log.numEntries());
 
-  // A truncated ALTER5 message is a rejected frame, not a crash.
-  std::vector<uint8_t> Truncated(V5.begin(), V5.end() - 1);
-  ChildReport RepT;
-  EXPECT_FALSE(decodeChildReport(Truncated, Spec, Config.Params, RepT, Error));
+  // A truncated message is a rejected frame, not a crash.
+  for (const std::vector<uint8_t> *Frame : {&Off, &On}) {
+    std::vector<uint8_t> Truncated(Frame->begin(), Frame->end() - 1);
+    ChildReport RepT;
+    EXPECT_FALSE(
+        decodeChildReport(Truncated, Spec, Config.Params, RepT, Error));
+  }
 }
 
 TEST(WriteLogCompactTest, SequentialStoresCompressBelowRaw) {

@@ -605,40 +605,47 @@ TEST(FaultMatrixTest, StalledChildTimesOutAndRecovers) {
   FaultPlan::global().clear();
 }
 
-TEST(FaultMatrixTest, AllWorkloadsRecoverToValidOutput) {
-  // The acceptance bar: with persistent kill/truncate/bit-flip faults
-  // armed, every parallelizable workload in the registry still completes
-  // under the recovery driver and its output validates against the
-  // sequential reference.
-  for (const std::string &Name : allWorkloadNames()) {
-    std::unique_ptr<Workload> W = makeWorkload(Name);
-    const std::optional<Annotation> A = W->paperAnnotation();
-    if (!A)
-      continue; // labyrinth: the paper could not parallelize it
-    SCOPED_TRACE(Name);
+/// The acceptance bar, one case per registry workload (so a parallel test
+/// runner spreads them across cores): with persistent kill/truncate/
+/// bit-flip faults armed, every parallelizable workload still completes
+/// under the recovery driver and its output validates against the
+/// sequential reference.
+class FaultMatrixWorkloadTest : public ::testing::TestWithParam<std::string> {
+};
 
-    W->setUp(0);
-    W->runSequential();
-    const std::vector<double> Reference = W->outputSignature();
+TEST_P(FaultMatrixWorkloadTest, RecoversToValidOutput) {
+  std::unique_ptr<Workload> W = makeWorkload(GetParam());
+  const std::optional<Annotation> A = W->paperAnnotation();
+  if (!A)
+    GTEST_SKIP() << "the paper could not parallelize " << GetParam();
 
-    FaultPlan::global().clear();
-    FaultPlan::global().arm(FaultKind::ChildKill, /*Chunk=*/0,
-                            /*Sticky=*/true);
-    FaultPlan::global().arm(FaultKind::PipeTruncate, /*Chunk=*/1,
-                            /*Sticky=*/true);
-    FaultPlan::global().arm(FaultKind::BitFlip, /*Chunk=*/2,
-                            /*Sticky=*/true);
+  W->setUp(0);
+  W->runSequential();
+  const std::vector<double> Reference = W->outputSignature();
 
-    W->setUp(0);
-    const RunResult R = W->runRecovering(
-        ParallelEngine::ForkJoin, W->resolveAnnotation(*A), /*NumWorkers=*/2);
-    EXPECT_EQ(R.Status, RunStatus::Success);
-    EXPECT_TRUE(R.Stats.Recovered);
-    EXPECT_TRUE(W->validate(Reference))
-        << "recovered output must validate against sequential";
-    FaultPlan::global().clear();
-  }
+  FaultPlan::global().clear();
+  FaultPlan::global().arm(FaultKind::ChildKill, /*Chunk=*/0,
+                          /*Sticky=*/true);
+  FaultPlan::global().arm(FaultKind::PipeTruncate, /*Chunk=*/1,
+                          /*Sticky=*/true);
+  FaultPlan::global().arm(FaultKind::BitFlip, /*Chunk=*/2,
+                          /*Sticky=*/true);
+
+  W->setUp(0);
+  const RunResult R = W->runRecovering(
+      ParallelEngine::ForkJoin, W->resolveAnnotation(*A), /*NumWorkers=*/2);
+  EXPECT_EQ(R.Status, RunStatus::Success);
+  EXPECT_TRUE(R.Stats.Recovered);
+  EXPECT_TRUE(W->validate(Reference))
+      << "recovered output must validate against sequential";
+  FaultPlan::global().clear();
 }
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, FaultMatrixWorkloadTest,
+                         ::testing::ValuesIn(allWorkloadNames()),
+                         [](const ::testing::TestParamInfo<std::string> &I) {
+                           return I.param;
+                         });
 
 TEST(FaultMatrixTest, StagedWorkerKillDegradesThroughLadder) {
   // A stage-pipeline replica SIGKILLed on every attempt of chunk 1: the

@@ -19,12 +19,14 @@
 ///  S4. When a chunk trips the access-set cap, the pipelined engine
 ///      indicts the EARLIEST uncommitted chunk (the resume point the
 ///      degradation ladder needs), not the chunk that happened to
-///      overflow, and the blown set sizes still reach the telemetry.
+///      overflow, and on every fork engine the blown set sizes still
+///      reach the telemetry.
 ///  S5. Buffered-write contexts (the stage replicas' mode) give
 ///      read-own-writes without touching memory before commit.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "runtime/ForkJoinExecutor.h"
 #include "runtime/PipelineExecutor.h"
 #include "runtime/TxnContext.h"
 #include "support/FaultInjection.h"
@@ -161,7 +163,7 @@ TEST(StageScheduleTest, EnvPlanCompletesWithValidOutput) {
 }
 
 //===----------------------------------------------------------------------===
-// S4: access-set cap attribution in the pipelined engine
+// S4: access-set cap attribution in the fork engines
 //===----------------------------------------------------------------------===
 
 TEST(PipelineLimitAttributionTest, CapIndictsEarliestUncommittedChunk) {
@@ -205,6 +207,40 @@ TEST(PipelineLimitAttributionTest, CapIndictsEarliestUncommittedChunk) {
   EXPECT_EQ(R.FailedChunk, 2) << R.Detail;
   // The blown sets must reach the telemetry: the largest read set on
   // record is the capped chunk's, far beyond the one-word chunks.
+  EXPECT_GE(R.Stats.ReadSetWords.max(), 512.0);
+}
+
+TEST(ForkJoinLimitAttributionTest, CapCrashesAndRecordsTheBlownSets) {
+  // The round-barrier engine's side of the same contract: chunk 5's read
+  // set trips the cap, the run fails with Crash indicting that chunk, and
+  // the blown sets still reach the telemetry — the parent accounts the
+  // capped report through the same commit lane as the pipelined engine.
+  std::vector<double> Data(4096);
+  std::vector<double> Cells(8, 0.0);
+  double Sink = 0;
+  LoopSpec Spec;
+  Spec.NumIterations = 8;
+  Spec.Body = [&](TxnContext &Ctx, int64_t I) {
+    if (I == 5) {
+      double Acc = 0;
+      for (double &D : Data)
+        Acc += Ctx.load(&D); // tracks 4096 words: blows the 48 KiB cap
+      Ctx.store(&Sink, Acc);
+      return;
+    }
+    Ctx.store(&Cells[static_cast<size_t>(I)],
+              Ctx.load(&Cells[static_cast<size_t>(I)]) + 1.0);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = 2;
+  Config.Params.Conflict = ConflictPolicy::RAW;
+  Config.Params.CommitOrder = CommitOrderPolicy::OutOfOrder;
+  Config.Params.ChunkFactor = 1;
+  Config.Limits.MaxAccessSetBytes = 48 * 1024;
+  ForkJoinExecutor Exec(Config);
+  const RunResult R = Exec.run(Spec);
+  ASSERT_EQ(R.Status, RunStatus::Crash) << R.Detail;
+  EXPECT_EQ(R.FailedChunk, 5) << R.Detail;
   EXPECT_GE(R.Stats.ReadSetWords.max(), 512.0);
 }
 
