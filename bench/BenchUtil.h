@@ -34,14 +34,12 @@ namespace bench {
 struct SweepPoint {
   unsigned NumWorkers = 0;
   double Speedup = 0.0;
-  double RetryRate = 0.0;
-  uint64_t SimTimeNs = 0;
   RunStatus Status = RunStatus::Success;
   /// The chunk factor the run actually used (explicit parameter or the
   /// process-wide default), carried into the --json report.
   int64_t ChunkFactorUsed = 0;
-  /// Full per-run statistics, carried into the --json report (transaction
-  /// counts, wire bytes, Bloom prefilter hits, worker occupancy).
+  /// Full per-run statistics, carried into the --json report (every
+  /// ALTER_RUN_STATS row). Stats.SimTimeNs is the point's modeled time.
   RunStats Stats;
   /// Commit transport the run used ("pipe" / "ring"), carried into the
   /// --json report. "n/a" for thread-based engines with no fork transport.

@@ -32,7 +32,7 @@ int main(int argc, char **argv) {
   printFigure("AggloClust (StaleReads, AlterList loop)", {Alter},
               "modest scaling; StaleReads is the only viable model");
   std::printf("\nretry rate at 4 workers: %s (paper: 3.6%%)\n",
-              formatPercent(Alter.Points[2].RetryRate).c_str());
+              formatPercent(Alter.Points[2].Stats.retryRate()).c_str());
   finalizeBenchJson();
   return 0;
 }

@@ -41,7 +41,9 @@
 # must satisfy min <= p50 <= p99 <= max, and the critical-path profile
 # must reconcile to 100% +/- 1% of wall clock), plus an A/B overhead run
 # asserting ALTER_METRICS=1 costs less than 1.10x the metrics-off
-# wall-clock on the sleep-dominated series.
+# wall-clock on the sleep-dominated series; the bench --json records of
+# that run must share one key set that includes the fault and stage
+# counters.
 #
 # With --durability the sequence additionally gates the crash-consistent
 # commit journal: the journal/torn-tail unit filters (record/replay
@@ -441,6 +443,13 @@ with open(sys.argv[1]) as f:
     on = json.load(f)["records"]
 with open(sys.argv[2]) as f:
     off = json.load(f)["records"]
+# Every record carries the whole run-stats table (ALTER_RUN_STATS), so
+# the key set is one, and it includes the fault and stage counters.
+keysets = {frozenset(r) for r in on}
+assert len(keysets) == 1, f"bench --json records differ in keys: {keysets}"
+must = {"resource_faults", "transport_downgrades", "parallelism_downgrades",
+        "stage_stalled", "queue_depth_peak"}
+assert must <= set(on[0]), f"bench --json lacks {sorted(must - set(on[0]))}"
 def stable_sum(records):
     return sum(r["real_time_ns"] for r in records
                if "-small-" not in r["series"]

@@ -148,23 +148,6 @@ struct ExecutorConfig {
   /// further behind than the stream holds is replaced by a fresh fork.
   size_t RingBytesPerSlot = 1 << 20;
 
-  /// Retire and respawn the warm template after this many commits have
-  /// been streamed to it (0 = never refresh). A refresh re-snapshots the
-  /// template from the parent wholesale, bounding drift if incremental
-  /// commit replay ever diverges; it waits for a moment with no warm child
-  /// in flight, so the old template can still reap its children. (A
-  /// template that fell behind the commit stream is refreshed the same
-  /// way, whatever this says.)
-  unsigned TemplateRefreshCommits = 0;
-
-  /// Kernel-enforced caps applied inside each forked chunk via setrlimit:
-  /// CPU seconds (RLIMIT_CPU — a busy-spinning child is killed by SIGXCPU
-  /// without waiting for the parent deadline) and address space bytes
-  /// (RLIMIT_AS — a child with runaway allocation fails its allocations
-  /// instead of triggering the host OOM killer). Zero disables a cap.
-  uint64_t ChildCpuSeconds = 0;
-  uint64_t ChildAddressSpaceBytes = 0;
-
   /// Cost model for the simulated parallel clock (Lockstep engine).
   const CostModel *Costs = nullptr;
 

@@ -55,6 +55,12 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
   ConflictDetector Detector(Config.Params.Conflict);
   TraceSink Sink(Config.Trace);
   const uint64_t RealStart = nowNs();
+  const auto Finish = [&]() -> RunResult {
+    Result.Stats.RealTimeNs = nowNs() - RealStart;
+    logRunDone("lockstep", Result);
+    Sink.finish(Result);
+    return std::move(Result);
+  };
   const uint64_t DeadlineSimNs =
       Config.SeqBaselineNs == 0
           ? 0
@@ -97,9 +103,7 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
         Result.Detail = strprintf(
             "transaction for chunk %lld exceeded the access-set memory cap",
             static_cast<long long>(RoundChunks[W]));
-        Result.Stats.RealTimeNs = nowNs() - RealStart;
-        Sink.finish(Result);
-        return Result;
+        return Finish();
       }
     }
 
@@ -182,26 +186,9 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
       Result.Status = RunStatus::Timeout;
       Result.Detail = "modeled execution time exceeded the 10x-sequential "
                       "deadline";
-      Result.Stats.RealTimeNs = nowNs() - RealStart;
-      Sink.finish(Result);
-      return Result;
+      return Finish();
     }
   }
 
-  Result.Stats.RealTimeNs = nowNs() - RealStart;
-  if (logEnabled(LogLevel::Info))
-    alterLog(LogLevel::Info, "run",
-             "event=run_done engine=lockstep schedule=%s status=%s "
-             "wall_ns=%llu sim_ns=%llu occupancy=%.3f committed=%llu "
-             "retries=%llu rounds=%llu",
-             scheduleKindName(Result.ScheduleUsed),
-             runStatusName(Result.Status),
-             static_cast<unsigned long long>(Result.Stats.RealTimeNs),
-             static_cast<unsigned long long>(Result.Stats.SimTimeNs),
-             Result.Stats.occupancy(),
-             static_cast<unsigned long long>(Result.Stats.NumCommitted),
-             static_cast<unsigned long long>(Result.Stats.NumRetries),
-             static_cast<unsigned long long>(Result.Stats.NumRounds));
-  Sink.finish(Result);
-  return Result;
+  return Finish();
 }

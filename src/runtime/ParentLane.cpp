@@ -37,7 +37,7 @@ void ParentLane::startPool(bool AllowReuse) {
   if (Config.Transport != TransportKind::Ring)
     return;
   Pool = std::make_unique<WorkerPool>(Spec, Config, Config.NumWorkers,
-                                      AllowReuse);
+                                      AllowReuse, Stats);
   StartNs = nowNs();
   if (Pool->valid())
     return;
@@ -177,8 +177,8 @@ bool ParentLane::account(const ChildReport &Rep) {
   Stats.WireBytesRaw += Rep.RawWireBytes;
   Stats.WorkerBusyNs += Rep.WorkNs;
   Sink.absorbChild(Rep.Trace);
-  if (Config.Metrics)
-    Result.Metrics.merge(Rep.Metrics);
+  if (Rep.Metrics)
+    Result.Metrics.merge(*Rep.Metrics);
   return true;
 }
 
@@ -302,9 +302,6 @@ RunResult ParentLane::finish(RunStatus Status, std::string Detail) {
   Stats.BloomSkips = Detector.bloomSkips();
   Stats.BloomFalsePositives = Detector.bloomFalsePositives();
   if (Pool) {
-    Stats.TemplateRefreshes = Pool->templateRefreshes();
-    Stats.PoolFaults = Pool->poolFaults();
-    Stats.ChildReuses = Pool->childReuses();
     if (!Pool->valid()) {
       // The pool died mid-run (failed ring respawn under exhaustion):
       // every later fork already degraded cold; account the downgrade.
@@ -318,29 +315,7 @@ RunResult ParentLane::finish(RunStatus Status, std::string Detail) {
     addUsage(Pool->templateRusage());
   }
   sample(0, /*Force=*/true);
-  if (logEnabled(LogLevel::Info))
-    alterLog(LogLevel::Info, "run",
-             "event=run_done engine=%s schedule=%s status=%s wall_ns=%llu "
-             "occupancy=%.3f committed=%llu retries=%llu rounds=%llu "
-             "warm_forks=%llu cold_forks=%llu reuses=%llu stalls=%llu "
-             "crashes=%llu wire_rejects=%llu resource_faults=%llu "
-             "cpu_user_ns=%llu cpu_sys_ns=%llu",
-             Engine, scheduleKindName(Result.ScheduleUsed),
-             runStatusName(Result.Status),
-             static_cast<unsigned long long>(Stats.RealTimeNs),
-             Stats.occupancy(),
-             static_cast<unsigned long long>(Stats.NumCommitted),
-             static_cast<unsigned long long>(Stats.NumRetries),
-             static_cast<unsigned long long>(Stats.NumRounds),
-             static_cast<unsigned long long>(Stats.WarmForks),
-             static_cast<unsigned long long>(Stats.ColdForks),
-             static_cast<unsigned long long>(Stats.ChildReuses),
-             static_cast<unsigned long long>(Stats.StageStalled),
-             static_cast<unsigned long long>(Stats.NumChildCrashes),
-             static_cast<unsigned long long>(Stats.NumWireRejects),
-             static_cast<unsigned long long>(Stats.ResourceFaults),
-             static_cast<unsigned long long>(Stats.ChildUserNs),
-             static_cast<unsigned long long>(Stats.ChildSysNs));
+  logRunDone(Engine, Result);
   Sink.finish(Result);
   return std::move(Result);
 }

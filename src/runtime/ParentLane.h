@@ -27,8 +27,8 @@
 ///    applyCommit (the same function the replicas replay the commit stream
 ///    with), the commit-stream push, commit metrics, trace and CommitOrder;
 ///  - the per-chunk fault budget and the run's latched Crash;
-///  - the timeline sampler and the finish step, which emits the one
-///    `event=run_done` log line of every fork engine.
+///  - the timeline sampler and the finish step, which emits the engine's
+///    run_done log line (logRunDone).
 ///
 /// Nothing here is virtual or type-erased: the engines call these members
 /// directly on their hot paths.

@@ -42,52 +42,80 @@ const char *alter::scheduleKindName(ScheduleKind Kind) {
   ALTER_UNREACHABLE("covered switch");
 }
 
+namespace {
+
+// The merge rules of ALTER_RUN_STATS; each accepts only its row type.
+void mergeSum(uint64_t &A, uint64_t B) { A += B; }
+void mergeMax(uint64_t &A, uint64_t B) { A = std::max(A, B); }
+void mergeOr(bool &A, bool B) { A = A || B; }
+void mergeStat(RunningStat &A, const RunningStat &B) { A.merge(B); }
+
+const char *rowKey(StatsEmitter Emitter, const char *Key,
+                   const char *MetricsKey, bool InRunDone) {
+  switch (Emitter) {
+  case StatsEmitter::Bench:
+    return Key;
+  case StatsEmitter::Metrics:
+    return MetricsKey;
+  case StatsEmitter::RunDone:
+    return InRunDone ? Key : nullptr;
+  }
+  ALTER_UNREACHABLE("covered switch");
+}
+
+void renderPair(std::string &Out, StatsEmitter Emitter, const char *Sep,
+                const std::string &Key, const std::string &Value) {
+  Out += Sep;
+  Out += Emitter == StatsEmitter::RunDone ? Key + "=" + Value
+                                          : "\"" + Key + "\": " + Value;
+}
+
+void renderRow(std::string &Out, StatsEmitter Emitter, const char *Sep,
+               const char *Key, uint64_t V) {
+  renderPair(Out, Emitter, Sep, Key,
+             strprintf("%llu", static_cast<unsigned long long>(V)));
+}
+
+void renderRow(std::string &Out, StatsEmitter Emitter, const char *Sep,
+               const char *Key, bool V) {
+  renderPair(Out, Emitter, Sep, Key, V ? "true" : "false");
+}
+
+void renderRow(std::string &Out, StatsEmitter Emitter, const char *Sep,
+               const char *Key, const RunningStat &V) {
+  renderPair(Out, Emitter, Sep, std::string(Key) + "_mean",
+             strprintf("%.6g", V.mean()));
+  renderPair(Out, Emitter, Sep, std::string(Key) + "_max",
+             strprintf("%.6g", V.max()));
+}
+
+} // namespace
+
 void RunStats::merge(const RunStats &Other) {
-  NumTransactions += Other.NumTransactions;
-  NumCommitted += Other.NumCommitted;
-  NumRetries += Other.NumRetries;
-  NumRounds += Other.NumRounds;
-  ReadSetWords.merge(Other.ReadSetWords);
-  WriteSetWords.merge(Other.WriteSetWords);
-  InstrReadCalls += Other.InstrReadCalls;
-  InstrWriteCalls += Other.InstrWriteCalls;
-  BytesRead += Other.BytesRead;
-  BytesWritten += Other.BytesWritten;
-  SimTimeNs += Other.SimTimeNs;
-  RealTimeNs += Other.RealTimeNs;
-  BloomChecks += Other.BloomChecks;
-  BloomSkips += Other.BloomSkips;
-  BloomFalsePositives += Other.BloomFalsePositives;
-  WireBytes += Other.WireBytes;
-  WireBytesRaw += Other.WireBytesRaw;
-  WireBytesCopied += Other.WireBytesCopied;
-  WarmForks += Other.WarmForks;
-  ColdForks += Other.ColdForks;
-  ChildReuses += Other.ChildReuses;
-  TemplateRefreshes += Other.TemplateRefreshes;
-  PoolFaults += Other.PoolFaults;
-  StageStalled += Other.StageStalled;
-  QueueDepthPeak = std::max(QueueDepthPeak, Other.QueueDepthPeak);
-  WorkerBusyNs += Other.WorkerBusyNs;
-  WorkerSlotNs += Other.WorkerSlotNs;
-  ChildUserNs += Other.ChildUserNs;
-  ChildSysNs += Other.ChildSysNs;
-  MaxChildRssBytes = std::max(MaxChildRssBytes, Other.MaxChildRssBytes);
-  NumForkFailures += Other.NumForkFailures;
-  NumChildCrashes += Other.NumChildCrashes;
-  NumWireRejects += Other.NumWireRejects;
-  RecoveredIterations += Other.RecoveredIterations;
-  SalvagedChunks += Other.SalvagedChunks;
-  QuarantinedIterations += Other.QuarantinedIterations;
-  BisectionRounds += Other.BisectionRounds;
-  ResourceFaults += Other.ResourceFaults;
-  TransportDowngrades += Other.TransportDowngrades;
-  ParallelismDowngrades += Other.ParallelismDowngrades;
-  Recovered |= Other.Recovered;
-  JournalBytes += Other.JournalBytes;
-  JournalFsyncs += Other.JournalFsyncs;
-  ReplayedChunks += Other.ReplayedChunks;
-  RecoveryNs += Other.RecoveryNs;
+#define ALTER_MERGE_RUN_STAT(Field, Type, Merge, ...)                         \
+  merge##Merge(Field, Other.Field);
+  ALTER_RUN_STATS(ALTER_MERGE_RUN_STAT)
+#undef ALTER_MERGE_RUN_STAT
+}
+
+std::string RunStats::render(StatsEmitter Emitter, const char *Sep) const {
+  std::string Out;
+#define ALTER_RENDER_RUN_STAT(Field, Type, Merge, Key, MKey, RunDone)        \
+  if (const char *K = rowKey(Emitter, Key, MKey, RunDone))                    \
+    renderRow(Out, Emitter, Sep, K, Field);
+  ALTER_RUN_STATS(ALTER_RENDER_RUN_STAT)
+#undef ALTER_RENDER_RUN_STAT
+  return Out;
+}
+
+void alter::logRunDone(const char *Engine, const RunResult &Result) {
+  if (!logEnabled(LogLevel::Info))
+    return;
+  alterLog(LogLevel::Info, "run",
+           "event=run_done engine=%s schedule=%s status=%s occupancy=%.3f%s",
+           Engine, scheduleKindName(Result.ScheduleUsed),
+           runStatusName(Result.Status), Result.Stats.occupancy(),
+           Result.Stats.render(StatsEmitter::RunDone, " ").c_str());
 }
 
 //===----------------------------------------------------------------------===
@@ -190,12 +218,7 @@ std::string RunResult::profileTable() const {
   Out += strprintf("cpu vs wall: user %.2f ms + sys %.2f ms over %.2f ms "
                    "wall (%.2fx), max child rss %.1f MiB\n",
                    Stats.ChildUserNs / 1e6, Stats.ChildSysNs / 1e6,
-                   P.WallNs / 1e6,
-                   P.WallNs == 0
-                       ? 0.0
-                       : static_cast<double>(Stats.ChildUserNs +
-                                             Stats.ChildSysNs) /
-                             static_cast<double>(P.WallNs),
+                   P.WallNs / 1e6, Stats.cpuVsWall(),
                    Stats.MaxChildRssBytes / (1024.0 * 1024.0));
   return Out;
 }
@@ -211,32 +234,14 @@ bool RunResult::writeMetricsJson(const std::string &Path,
   const RunProfile P = computeProfile();
   const auto U = [](uint64_t V) { return static_cast<unsigned long long>(V); };
   std::fprintf(F, "{\n  \"schema\": \"alter-metrics-v1\",\n");
-  std::fprintf(F, "  \"status\": \"%s\",\n  \"schedule\": \"%s\",\n",
+  std::fprintf(F, "  \"status\": \"%s\",\n  \"schedule\": \"%s\"",
                runStatusName(Status), scheduleKindName(ScheduleUsed));
+  // The stats block: the ALTER_RUN_STATS rows with a MetricsKey, then the
+  // two values the table does not hold.
   std::fprintf(F,
-               "  \"wall_ns\": %llu,\n  \"sim_time_ns\": %llu,\n"
-               "  \"worker_busy_ns\": %llu,\n  \"worker_slot_ns\": %llu,\n"
-               "  \"occupancy\": %.6g,\n",
-               U(Stats.RealTimeNs), U(Stats.SimTimeNs),
-               U(Stats.WorkerBusyNs), U(Stats.WorkerSlotNs),
-               Stats.occupancy());
-  std::fprintf(F,
-               "  \"cpu_user_ns\": %llu,\n  \"cpu_sys_ns\": %llu,\n"
-               "  \"max_child_rss_bytes\": %llu,\n",
-               U(Stats.ChildUserNs), U(Stats.ChildSysNs),
-               U(Stats.MaxChildRssBytes));
-  std::fprintf(F,
-               "  \"transactions\": %llu,\n  \"committed\": %llu,\n"
-               "  \"retries\": %llu,\n  \"warm_forks\": %llu,\n"
-               "  \"cold_forks\": %llu,\n  \"timeline_samples\": %zu,\n",
-               U(Stats.NumTransactions), U(Stats.NumCommitted),
-               U(Stats.NumRetries), U(Stats.WarmForks), U(Stats.ColdForks),
-               Timeline.size());
-  std::fprintf(F,
-               "  \"journal_bytes\": %llu,\n  \"journal_fsyncs\": %llu,\n"
-               "  \"replayed_chunks\": %llu,\n  \"recovery_ns\": %llu,\n",
-               U(Stats.JournalBytes), U(Stats.JournalFsyncs),
-               U(Stats.ReplayedChunks), U(Stats.RecoveryNs));
+               "%s,\n  \"occupancy\": %.6g,\n  \"timeline_samples\": %zu,\n",
+               Stats.render(StatsEmitter::Metrics, ",\n  ").c_str(),
+               Stats.occupancy(), Timeline.size());
   std::fprintf(F,
                "  \"profile\": {\"wall_ns\": %llu, "
                "\"dispatch_stall_ns\": %llu, \"child_exec_ns\": %llu, "

@@ -56,174 +56,190 @@ enum class ScheduleKind : uint8_t {
 /// Returns "unknown", "sequential", "chunked", or "staged".
 const char *scheduleKindName(ScheduleKind Kind);
 
+/// The run counters, declared once. Each row is
+/// X(Field, Type, Merge, Key, MetricsKey, InRunDone):
+///  - Field, Type: the RunStats member (uint64_t, bool or RunningStat);
+///  - Merge: how RunStats::merge folds another run's value in: Sum, Max
+///    (high-water marks), Or (flags) or Stat (RunningStat::merge);
+///  - Key: the row's key in the bench --json record, which carries every
+///    row, and in the run_done log line;
+///  - MetricsKey: its key in the alter-metrics-v1 report, or nullptr when
+///    the report leaves it out (that key set is a committed schema);
+///  - InRunDone: whether the run_done log line carries it.
+/// A RunningStat row renders as Key_mean and Key_max. Merge, the three
+/// emitters and the tests all expand this table, so adding a counter is
+/// one row here and nothing else.
+#define ALTER_RUN_STATS(X)                                                    \
+  /* Transactions that attempted to commit (including retries of the same     \
+     chunk; a chunk retried twice counts three attempts). */                  \
+  X(NumTransactions, uint64_t, Sum, "transactions", "transactions", false)    \
+  /* Attempts that validated and committed. */                                \
+  X(NumCommitted, uint64_t, Sum, "committed", "committed", true)              \
+  /* Attempts that failed validation and were re-executed. */                 \
+  X(NumRetries, uint64_t, Sum, "retries", "retries", true)                    \
+  /* Lock-step rounds executed. */                                            \
+  X(NumRounds, uint64_t, Sum, "rounds", nullptr, true)                        \
+  /* Distributions of read-set and write-set sizes (words) per                \
+     transaction. */                                                          \
+  X(ReadSetWords, RunningStat, Stat, "read_set_words", nullptr, false)        \
+  X(WriteSetWords, RunningStat, Stat, "write_set_words", nullptr, false)      \
+  /* Instrumentation calls executed (after the §4.1 optimizations; a range    \
+     instrumentation counts once). */                                         \
+  X(InstrReadCalls, uint64_t, Sum, "instr_read_calls", nullptr, false)        \
+  X(InstrWriteCalls, uint64_t, Sum, "instr_write_calls", nullptr, false)      \
+  /* Data movement performed by the loop bodies, for the bandwidth            \
+     model. */                                                                \
+  X(BytesRead, uint64_t, Sum, "bytes_read", nullptr, false)                   \
+  X(BytesWritten, uint64_t, Sum, "bytes_written", nullptr, false)             \
+  /* Modeled parallel wall-clock (lock-step cost model; the real clock on     \
+     the pipelined fork engine). */                                           \
+  X(SimTimeNs, uint64_t, Sum, "sim_time_ns", "sim_time_ns", true)             \
+  /* Real host time spent executing. */                                       \
+  X(RealTimeNs, uint64_t, Sum, "real_time_ns", "wall_ns", true)               \
+                                                                              \
+  /* Commit path: Bloom prefilter and compressed wire format. */              \
+  /* Set-pair conflict checks submitted to the Bloom prefilter. */            \
+  X(BloomChecks, uint64_t, Sum, "bloom_checks", nullptr, false)               \
+  /* Checks the prefilter resolved as provably disjoint, skipping the         \
+     word-by-word intersection entirely. */                                   \
+  X(BloomSkips, uint64_t, Sum, "bloom_skips", nullptr, false)                 \
+  /* Checks the prefilter could not resolve but the exact intersection        \
+     found empty (false positives of the filter). */                          \
+  X(BloomFalsePositives, uint64_t, Sum, "bloom_false_positives", nullptr,     \
+    false)                                                                    \
+  /* Bytes actually shipped child -> parent over the commit pipes             \
+     (compressed access sets + write logs). */                                \
+  X(WireBytes, uint64_t, Sum, "wire_bytes", nullptr, false)                   \
+  /* Bytes the uncompressed wire format would have shipped for the same       \
+     messages; WireBytes / WireBytesRaw is the compression ratio. */          \
+  X(WireBytesRaw, uint64_t, Sum, "wire_bytes_raw", nullptr, false)            \
+  /* Bytes that actually crossed a kernel pipe for commit transport. On       \
+     the Pipe transport this equals WireBytes (the whole message is           \
+     copied); on the Ring transport records travel through shared memory      \
+     and only the 1-byte doorbells are copied, so this is ~0. */              \
+  X(WireBytesCopied, uint64_t, Sum, "wire_bytes_copied", nullptr, false)      \
+                                                                              \
+  /* Warm worker pool (TransportKind::Ring steady state). */                  \
+  /* Chunks forked from the warm template process. */                         \
+  X(WarmForks, uint64_t, Sum, "warm_forks", "warm_forks", true)               \
+  /* Chunks forked cold from the full parent: every fork on the Pipe          \
+     transport, plus Ring-transport fallbacks when the pool was               \
+     unavailable. */                                                          \
+  X(ColdForks, uint64_t, Sum, "cold_forks", "cold_forks", true)               \
+  /* Chunks dispatched to an already-resident child with no fork at all       \
+     (the fork-free steady state; pipeline engine, Ring transport).           \
+     Counted inside WarmForks: a reuse is the warmest possible path. */       \
+  X(ChildReuses, uint64_t, Sum, "child_reuses", nullptr, true)                \
+  /* Template retire/respawn cycles: a template the commit stream had         \
+     lapped is replaced by a fresh fork of the parent. */                     \
+  X(TemplateRefreshes, uint64_t, Sum, "template_refreshes", nullptr, false)   \
+  /* Pool infrastructure faults absorbed without failing any chunk:           \
+     template spawn failures, a dead template discovered on use, injected     \
+     TemplatePoison hits, and forks that found the template lapped by the     \
+     commit stream while it could not yet be replaced. Each degrades the      \
+     affected forks to the cold path. */                                      \
+  X(PoolFaults, uint64_t, Sum, "pool_faults", nullptr, false)                 \
+                                                                              \
+  /* Stage pipeline (StagePipelineExecutor). */                               \
+  /* Times the stage feed blocked: the sequential stage had a chunk ready     \
+     but every replica of the parallel stage was busy (backpressure), or      \
+     the retirement frontier starved waiting on one straggling replica. */    \
+  X(StageStalled, uint64_t, Sum, "stage_stalled", nullptr, true)              \
+  /* Peak number of chunks in flight between the two stages (dispatched       \
+     into an inter-stage queue but not yet retired): a high-water mark,       \
+     not a count. */                                                          \
+  X(QueueDepthPeak, uint64_t, Max, "queue_depth_peak", nullptr, false)        \
+                                                                              \
+  /* Worker occupancy (straggler accounting). */                              \
+  /* Worker-ns spent executing chunk bodies (summed across workers). */       \
+  X(WorkerBusyNs, uint64_t, Sum, "worker_busy_ns", "worker_busy_ns", false)   \
+  /* Worker-ns of capacity the run had available: NumWorkers x executor       \
+     wall-clock, summed across inner-loop invocations. */                     \
+  X(WorkerSlotNs, uint64_t, Sum, "worker_slot_ns", "worker_slot_ns", false)   \
+                                                                              \
+  /* Child CPU accounting (wait4/getrusage at reap time). Separating CPU      \
+     time from wall time makes host oversubscription visible: a run whose     \
+     children burned 4x its wall clock in CPU really ran 4-wide; one whose    \
+     CPU equals its wall clock serialized. */                                 \
+  /* User-mode CPU ns summed over reaped children. Warm (template-forked)     \
+     children are reaped by the template, so their usage arrives              \
+     transitively when the template itself is reaped at pool teardown. */     \
+  X(ChildUserNs, uint64_t, Sum, "cpu_user_ns", "cpu_user_ns", true)           \
+  /* System-mode CPU ns summed over reaped children. */                       \
+  X(ChildSysNs, uint64_t, Sum, "cpu_sys_ns", "cpu_sys_ns", true)              \
+  /* Peak resident set across reaped children. */                             \
+  X(MaxChildRssBytes, uint64_t, Max, "max_child_rss_bytes",                   \
+    "max_child_rss_bytes", false)                                             \
+                                                                              \
+  /* Fault containment and recovery: speculative failures that did NOT        \
+     abort the run. Each was contained to its chunk and retried, or the       \
+     whole run completed through the sequential fallback. */                  \
+  /* fork()/pipe() attempts that failed; the chunk was requeued. */           \
+  X(NumForkFailures, uint64_t, Sum, "fork_failures", nullptr, false)          \
+  /* Children that died abnormally (signal or nonzero exit) before            \
+     reporting; each crash was contained to its chunk. */                     \
+  X(NumChildCrashes, uint64_t, Sum, "child_crashes", nullptr, true)           \
+  /* Commit messages rejected by the wire framing (truncation, length         \
+     mismatch, CRC failure, or structural decode errors). */                  \
+  X(NumWireRejects, uint64_t, Sum, "wire_rejects", nullptr, true)             \
+  /* Iterations completed by the full-tail sequential fallback after the      \
+     degradation ladder gave up (RecoveringLoopRunner). */                    \
+  X(RecoveredIterations, uint64_t, Sum, "recovered_iterations", nullptr,      \
+    false)                                                                    \
+  /* Chunks (tier 1) or bisection fragments (tier 2) of an indicted chunk     \
+     that a solo speculative re-execution committed during salvage. */        \
+  X(SalvagedChunks, uint64_t, Sum, "salvaged_chunks", nullptr, false)         \
+  /* Iterations the ladder isolated as poisoned and executed sequentially     \
+     under quarantine (tier 3). Bounded by the poisoned chunk's size,         \
+     never the tail. */                                                       \
+  X(QuarantinedIterations, uint64_t, Sum, "quarantined_iterations", nullptr,  \
+    false)                                                                    \
+  /* Range splits performed while bisecting failing chunks (tier 2). */       \
+  X(BisectionRounds, uint64_t, Sum, "bisection_rounds", nullptr, false)       \
+  /* Environment resource failures (ring mmap, pipe exhaustion, fork          \
+     EAGAIN, dispatch-write failure) demoted to contained per-run outcomes    \
+     instead of aborting the process. */                                      \
+  X(ResourceFaults, uint64_t, Sum, "resource_faults", nullptr, true)          \
+  /* Times a run retreated from the Ring transport to the cold Pipe path      \
+     because shared-memory/pipe setup failed (pool construction or a          \
+     mid-run pool rebuild). */                                                \
+  X(TransportDowngrades, uint64_t, Sum, "transport_downgrades", nullptr,      \
+    false)                                                                    \
+  /* Times an engine shrank its effective worker count after every launch     \
+     attempt in a sweep failed (persistent fork/pipe exhaustion); the last    \
+     rung before the ladder's sequential floor. */                            \
+  X(ParallelismDowngrades, uint64_t, Sum, "parallelism_downgrades", nullptr,  \
+    false)                                                                    \
+  /* True when any part of the execution ran sequentially against             \
+     committed memory (quarantined iterations or the full-tail fallback):     \
+     the run completed, but not entirely speculatively. */                    \
+  X(Recovered, bool, Or, "recovered", nullptr, false)                         \
+  /* Bytes appended to the commit journal (frame headers + payloads),         \
+     zero when no journal is attached. */                                     \
+  X(JournalBytes, uint64_t, Sum, "journal_bytes", "journal_bytes", false)     \
+  /* fdatasync(2) calls the journal's durability policy issued. */            \
+  X(JournalFsyncs, uint64_t, Sum, "journal_fsyncs", "journal_fsyncs", false)  \
+  /* Chunk/range frames replayed from a recovered journal by re-executing     \
+     their iterations against rebuilt initial state (restart recovery). */    \
+  X(ReplayedChunks, uint64_t, Sum, "replayed_chunks", "replayed_chunks",      \
+    false)                                                                    \
+  /* Wall time spent replaying the journal's committed prefix on              \
+     restart. */                                                              \
+  X(RecoveryNs, uint64_t, Sum, "recovery_ns", "recovery_ns", false)
+
+/// How RunStats::render lays a row out, and which rows it picks (see
+/// ALTER_RUN_STATS).
+enum class StatsEmitter : uint8_t {
+  Bench,   ///< `"key": value`, every row (bench --json records)
+  Metrics, ///< `"key": value`, rows with a MetricsKey (alter-metrics-v1)
+  RunDone, ///< `key=value`, rows marked InRunDone (the run_done log line)
+};
+
 /// Statistics accumulated over one or more loop executions.
 struct RunStats {
-  /// Transactions that attempted to commit (including retries of the same
-  /// chunk; a chunk retried twice counts three attempts).
-  uint64_t NumTransactions = 0;
-  /// Attempts that validated and committed.
-  uint64_t NumCommitted = 0;
-  /// Attempts that failed validation and were re-executed.
-  uint64_t NumRetries = 0;
-  /// Lock-step rounds executed.
-  uint64_t NumRounds = 0;
-  /// Distribution of read-set sizes (words) per transaction.
-  RunningStat ReadSetWords;
-  /// Distribution of write-set sizes (words) per transaction.
-  RunningStat WriteSetWords;
-  /// Instrumentation calls executed (after the §4.1 optimizations; a range
-  /// instrumentation counts once).
-  uint64_t InstrReadCalls = 0;
-  uint64_t InstrWriteCalls = 0;
-  /// Data movement performed by the loop bodies, for the bandwidth model.
-  uint64_t BytesRead = 0;
-  uint64_t BytesWritten = 0;
-  /// Modeled parallel wall-clock (lock-step cost model), and the modeled
-  /// single-worker wall-clock of the same execution for self-relative
-  /// comparisons.
-  uint64_t SimTimeNs = 0;
-  /// Real host time spent executing.
-  uint64_t RealTimeNs = 0;
-
-  //===--------------------------------------------------------------------===
-  // Commit-path instrumentation (Bloom prefilter + compressed wire format)
-  //===--------------------------------------------------------------------===
-
-  /// Set-pair conflict checks submitted to the Bloom prefilter.
-  uint64_t BloomChecks = 0;
-  /// Checks the prefilter resolved as provably disjoint, skipping the
-  /// word-by-word intersection entirely.
-  uint64_t BloomSkips = 0;
-  /// Checks the prefilter could not resolve but the exact intersection
-  /// found empty (false positives of the filter).
-  uint64_t BloomFalsePositives = 0;
-  /// Bytes actually shipped child -> parent over the commit pipes
-  /// (compressed access sets + write logs).
-  uint64_t WireBytes = 0;
-  /// Bytes the uncompressed wire format would have shipped for the same
-  /// messages; WireBytes / WireBytesRaw is the compression ratio.
-  uint64_t WireBytesRaw = 0;
-  /// Bytes that actually crossed a kernel pipe for commit transport. On
-  /// the Pipe transport this equals WireBytes (the whole message is
-  /// copied); on the Ring transport records travel through shared memory
-  /// and only the 1-byte doorbells are copied, so this is ~0.
-  uint64_t WireBytesCopied = 0;
-
-  //===--------------------------------------------------------------------===
-  // Warm worker pool (TransportKind::Ring steady state)
-  //===--------------------------------------------------------------------===
-
-  /// Chunks forked from the warm template process.
-  uint64_t WarmForks = 0;
-  /// Chunks forked cold from the full parent: every fork on the Pipe
-  /// transport, plus Ring-transport fallbacks when the pool was
-  /// unavailable.
-  uint64_t ColdForks = 0;
-  /// Chunks dispatched to an already-resident child with no fork at all
-  /// (the fork-free steady state; pipeline engine, Ring transport).
-  /// Counted inside WarmForks — a reuse is the warmest possible path.
-  uint64_t ChildReuses = 0;
-  /// Template retire/respawn cycles: TemplateRefreshCommits, or a
-  /// template the commit stream had lapped.
-  uint64_t TemplateRefreshes = 0;
-  /// Pool infrastructure faults absorbed without failing any chunk:
-  /// template spawn failures, a dead template discovered on use, injected
-  /// TemplatePoison hits, and forks that found the template lapped by the
-  /// commit stream while it could not yet be replaced. Each degrades the
-  /// affected forks to the cold path.
-  uint64_t PoolFaults = 0;
-
-  //===--------------------------------------------------------------------===
-  // Stage pipeline (StagePipelineExecutor)
-  //===--------------------------------------------------------------------===
-
-  /// Times the stage feed blocked: the sequential stage had a chunk ready
-  /// but every replica of the parallel stage was busy (backpressure), or
-  /// the retirement frontier starved waiting on one straggling replica.
-  uint64_t StageStalled = 0;
-  /// Peak number of chunks in flight between the two stages (dispatched
-  /// into an inter-stage queue but not yet retired). merge() takes the max:
-  /// it is a high-water mark, not a count.
-  uint64_t QueueDepthPeak = 0;
-
-  //===--------------------------------------------------------------------===
-  // Worker occupancy (straggler accounting)
-  //===--------------------------------------------------------------------===
-
-  /// Worker-ns spent executing chunk bodies (summed across workers).
-  uint64_t WorkerBusyNs = 0;
-  /// Worker-ns of capacity the run had available: NumWorkers x executor
-  /// wall-clock, summed across inner-loop invocations.
-  uint64_t WorkerSlotNs = 0;
-
-  //===--------------------------------------------------------------------===
-  // Child CPU accounting (wait4/getrusage at reap time). Separating CPU
-  // time from wall time makes host oversubscription visible: a run whose
-  // children burned 4x its wall clock in CPU really ran 4-wide; one whose
-  // CPU equals its wall clock serialized.
-  //===--------------------------------------------------------------------===
-
-  /// User-mode CPU ns summed over reaped children. Warm (template-forked)
-  /// children are reaped by the template, so their usage arrives
-  /// transitively when the template itself is reaped at pool teardown.
-  uint64_t ChildUserNs = 0;
-  /// System-mode CPU ns summed over reaped children.
-  uint64_t ChildSysNs = 0;
-  /// Peak resident set across reaped children (max-merged).
-  uint64_t MaxChildRssBytes = 0;
-
-  //===--------------------------------------------------------------------===
-  // Fault containment and recovery (speculative failures that did NOT
-  // abort the run: each was contained to its chunk and retried, or the
-  // whole run completed through the sequential fallback)
-  //===--------------------------------------------------------------------===
-
-  /// fork()/pipe() attempts that failed; the chunk was requeued.
-  uint64_t NumForkFailures = 0;
-  /// Children that died abnormally (signal or nonzero exit) before
-  /// reporting; each crash was contained to its chunk.
-  uint64_t NumChildCrashes = 0;
-  /// Commit messages rejected by the wire framing (truncation, length
-  /// mismatch, CRC failure, or structural decode errors).
-  uint64_t NumWireRejects = 0;
-  /// Iterations completed by the full-tail sequential fallback after the
-  /// degradation ladder gave up (RecoveringLoopRunner).
-  uint64_t RecoveredIterations = 0;
-  /// Chunks (tier 1) or bisection fragments (tier 2) of an indicted chunk
-  /// that a solo speculative re-execution committed during salvage.
-  uint64_t SalvagedChunks = 0;
-  /// Iterations the ladder isolated as poisoned and executed sequentially
-  /// under quarantine (tier 3). Bounded by the poisoned chunk's size, never
-  /// the tail.
-  uint64_t QuarantinedIterations = 0;
-  /// Range splits performed while bisecting failing chunks (tier 2).
-  uint64_t BisectionRounds = 0;
-  /// Environment resource failures (ring mmap, pipe exhaustion, fork
-  /// EAGAIN, dispatch-write failure) demoted to contained per-run outcomes
-  /// instead of aborting the process.
-  uint64_t ResourceFaults = 0;
-  /// Times a run retreated from the Ring transport to the cold Pipe path
-  /// because shared-memory/pipe setup failed (pool construction or a
-  /// mid-run pool rebuild).
-  uint64_t TransportDowngrades = 0;
-  /// Times an engine shrank its effective worker count after every launch
-  /// attempt in a sweep failed (persistent fork/pipe exhaustion); the last
-  /// rung before the ladder's sequential floor.
-  uint64_t ParallelismDowngrades = 0;
-  /// True when any part of the execution ran sequentially against committed
-  /// memory (quarantined iterations or the full-tail fallback) — the run
-  /// completed, but not entirely speculatively.
-  bool Recovered = false;
-  /// Bytes appended to the commit journal (frame headers + payloads),
-  /// zero when no journal is attached.
-  uint64_t JournalBytes = 0;
-  /// fdatasync(2) calls the journal's durability policy issued.
-  uint64_t JournalFsyncs = 0;
-  /// Chunk/range frames replayed from a recovered journal by re-executing
-  /// their iterations against rebuilt initial state (restart recovery).
-  uint64_t ReplayedChunks = 0;
-  /// Wall time spent replaying the journal's committed prefix on restart.
-  uint64_t RecoveryNs = 0;
+#define ALTER_DECLARE_RUN_STAT(Field, Type, ...) Type Field{};
+  ALTER_RUN_STATS(ALTER_DECLARE_RUN_STAT)
+#undef ALTER_DECLARE_RUN_STAT
 
   /// Fraction of worker capacity spent executing bodies. The round-barrier
   /// engine loses occupancy to stragglers (every slot idles until the
@@ -276,8 +292,24 @@ struct RunStats {
            static_cast<double>(NumTransactions);
   }
 
-  /// Accumulates \p Other into this (used across outer-loop invocations).
+  /// CPU ns the reaped children burned, user plus system.
+  uint64_t childCpuNs() const { return ChildUserNs + ChildSysNs; }
+
+  /// Child CPU time over the run's wall clock: ~NumWorkers when the
+  /// children really ran in parallel, ~1 when they serialized.
+  double cpuVsWall() const {
+    if (RealTimeNs == 0)
+      return 0.0;
+    return static_cast<double>(childCpuNs()) /
+           static_cast<double>(RealTimeNs);
+  }
+
+  /// Accumulates \p Other into this (used across outer-loop invocations),
+  /// each row by its ALTER_RUN_STATS merge rule.
   void merge(const RunStats &Other);
+
+  /// The rows \p Emitter carries, in table order, each preceded by \p Sep.
+  std::string render(StatsEmitter Emitter, const char *Sep) const;
 };
 
 /// Aborts attributed to one 512-byte granule: how many commit attempts a
@@ -434,6 +466,11 @@ struct RunResult {
 
   bool succeeded() const { return Status == RunStatus::Success; }
 };
+
+/// Emits the one run_done Info log line of an engine run: the
+/// engine, schedule, status and occupancy, then the table rows marked
+/// InRunDone. Every engine's exit paths call it, so the key set is one.
+void logRunDone(const char *Engine, const RunResult &Result);
 
 } // namespace alter
 

@@ -249,7 +249,6 @@ void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
   // core and re-run parent atexit handlers from the fork image.
   markForkedChild();
   ::signal(SIGPIPE, SIG_IGN);
-  applyChildRlimits(Config);
 
   const auto Bell = [&](uint8_t Kind) {
     const uint8_t B =

@@ -16,7 +16,6 @@
 #include <csignal>
 #include <cstring>
 #include <ctime>
-#include <sys/resource.h>
 #include <unistd.h>
 
 using namespace alter;
@@ -153,21 +152,6 @@ static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
 
 } // namespace
 
-void alter::applyChildRlimits(const ExecutorConfig &Config) {
-  if (Config.ChildCpuSeconds != 0) {
-    rlimit R;
-    R.rlim_cur = static_cast<rlim_t>(Config.ChildCpuSeconds);
-    R.rlim_max = static_cast<rlim_t>(Config.ChildCpuSeconds + 1);
-    (void)::setrlimit(RLIMIT_CPU, &R);
-  }
-  if (Config.ChildAddressSpaceBytes != 0) {
-    rlimit R;
-    R.rlim_cur = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
-    R.rlim_max = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
-    (void)::setrlimit(RLIMIT_AS, &R);
-  }
-}
-
 uint32_t alter::wireCrc32(const uint8_t *Data, size_t Size) {
   const auto &T = Crc32.T;
   uint32_t Crc = 0xffffffffu;
@@ -291,12 +275,12 @@ bool alter::deserializeAccessSet(const uint8_t *Data, size_t Size,
 
 namespace {
 
-/// Child-side core shared by the pipe and ring transports: applies the
-/// rlimit caps, executes the chunk transactionally in \p Ctx, serializes
-/// the framed message, and applies any armed wire-corruption or stall
-/// fault. The crash/kill faults raise inside, so this returns only on the
-/// report path. The assembled (possibly corrupted) message is ready to
-/// ship verbatim over either transport.
+/// Child-side core shared by the pipe and ring transports: executes the
+/// chunk transactionally in \p Ctx, serializes the framed message, and
+/// applies any armed wire-corruption or stall fault. The crash/kill faults
+/// raise inside, so this returns only on the report path. The assembled
+/// (possibly corrupted) message is ready to ship verbatim over either
+/// transport.
 ///
 /// A one-shot child (\p Resident false) leaves memory dirty: its address
 /// space is discarded on exit. A resident child restores its snapshot —
@@ -310,7 +294,6 @@ std::vector<uint8_t> buildChildCommitMessage(const LoopSpec &Spec,
                                              int64_t LastIter,
                                              const ArmedFault &Fault,
                                              MetricsRegistry *Metrics) {
-  applyChildRlimits(Config);
   if (Fault.Armed && Fault.Kind == FaultKind::ChildCrash)
     ::raise(SIGSEGV); // the injected "buggy chunk" dies before any work
 
@@ -809,11 +792,13 @@ bool alter::decodeChildReport(const std::vector<uint8_t> &Bytes,
     return false;
   }
   const uint8_t *Blob = R.raw(static_cast<size_t>(MetricsBytes));
-  if (MetricsBytes != 0 &&
-      !MetricsRegistry::deserialize(Blob, static_cast<size_t>(MetricsBytes),
-                                    Rep.Metrics)) {
-    Error = "corrupt metrics blob";
-    return false;
+  if (MetricsBytes != 0) {
+    Rep.Metrics = std::make_unique<MetricsRegistry>();
+    if (!MetricsRegistry::deserialize(
+            Blob, static_cast<size_t>(MetricsBytes), *Rep.Metrics)) {
+      Error = "corrupt metrics blob";
+      return false;
+    }
   }
   if (R.failed() || !R.exhausted()) {
     Error = "message length inconsistent with contents";

@@ -57,6 +57,7 @@
 #include "support/Trace.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -88,17 +89,17 @@ struct ChildReport {
   /// Child-side trace events from the message's TRACE section (empty below
   /// TraceLevel::Events).
   std::vector<TraceEvent> Trace;
-  /// Child-side metrics from the message's METRICS section (empty whenever
-  /// the run has metrics off). The parent merges it into
+  /// Child-side metrics from the message's METRICS section; null when the
+  /// section is empty (the run has metrics off), so a report does not
+  /// carry a registry it has no use for. The parent merges it into
   /// RunResult::Metrics.
-  MetricsRegistry Metrics;
+  std::unique_ptr<MetricsRegistry> Metrics;
 };
 
 /// Child side: executes iterations [\p FirstIter, \p LastIter) of chunk
 /// \p Chunk of \p Spec transactionally as \p Worker, writes the framed
-/// commit message to \p Fd, and _exit()s. Never returns. Applies the
-/// per-child setrlimit caps from \p Config, and \p Fault (taken from the
-/// FaultPlan by the parent at fork time) when armed. At
+/// commit message to \p Fd, and _exit()s. Never returns. Applies \p Fault
+/// (taken from the FaultPlan by the parent at fork time) when armed. At
 /// TraceLevel::Events the message carries the chunk's lifecycle events in
 /// its TRACE section.
 [[noreturn]] void runWireChild(const LoopSpec &Spec,
@@ -189,12 +190,6 @@ CommitStream::ReadResult catchUpCommits(const CommitStream &Stream,
                                         uint64_t TargetSeq,
                                         const LoopSpec &Spec,
                                         const ExecutorConfig &Config);
-
-/// Applies the kernel-enforced per-child caps of \p Config (RLIMIT_CPU,
-/// RLIMIT_AS) to the calling child. Best-effort: lowering a limit cannot
-/// fail for an unprivileged process, and a cap that cannot be applied
-/// leaves the parent deadline as the (slower) backstop.
-void applyChildRlimits(const ExecutorConfig &Config);
 
 /// Child side: serializes the framed commit message for a transaction
 /// already executed in \p Ctx (after captureRedo or suspendTxn): fixed

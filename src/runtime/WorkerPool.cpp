@@ -124,9 +124,9 @@ void alter::setGlobalTransportKind(TransportKind Kind) {
 //===----------------------------------------------------------------------===
 
 WorkerPool::WorkerPool(const LoopSpec &Spec, const ExecutorConfig &Config,
-                       unsigned NumSlots, bool AllowReuse)
-    : Spec(Spec), Config(Config), AllowReuse(AllowReuse), Slots(NumSlots),
-      Stream(Config.RingBytesPerSlot) {
+                       unsigned NumSlots, bool AllowReuse, RunStats &Stats)
+    : Spec(Spec), Config(Config), AllowReuse(AllowReuse), Stats(Stats),
+      Slots(NumSlots), Stream(Config.RingBytesPerSlot) {
   ignoreSigpipeOnce();
   if (!Stream.valid()) {
     // Same containment as a ring mapping failure below.
@@ -224,7 +224,7 @@ bool WorkerPool::sendCommand(uint8_t Op, const void *Payload, size_t Size) {
     return true;
   // The template is gone (EPIPE) or wedged: retire it hard so the caller
   // degrades to cold forks and the next warm fork respawns cleanly.
-  ++Faults;
+  ++Stats.PoolFaults;
   killTemplateHard();
   return false;
 }
@@ -347,7 +347,6 @@ bool WorkerPool::ensureTemplate() {
   ::close(Fds[0]);
   ControlFd = Fds[1];
   TemplatePid = Pid;
-  CommitsSinceSpawn = 0;
   // A fresh template snapshots the parent wholesale; whatever children the
   // previous incarnation lost are strangers to it.
   for (SlotState &S : Slots)
@@ -379,13 +378,13 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   if (Invalid) {
     // A ring or pipe never came up (or died in a hard retirement): every
     // fork degrades to the cold path until the engine drops the pool.
-    ++Faults;
+    ++Stats.PoolFaults;
     return false;
   }
   SlotState &S = Slots[Slot];
 
   if (!ensureTemplate()) {
-    ++Faults;
+    ++Stats.PoolFaults;
     return false;
   }
 
@@ -425,25 +424,10 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
       }
       if (!S.TerminalSeen && nowNs() > Deadline) {
         // Template wedged: retire it hard and fall back cold.
-        ++Faults;
+        ++Stats.PoolFaults;
         killTemplateHard();
         return false;
       }
-    }
-  }
-
-  // Scheduled refresh, now that this slot's true state is known: only at a
-  // moment with no warm child in flight anywhere, so the outgoing template
-  // has no children left to reap. (Checking before the quiesce would see
-  // the previous child's unconsumed terminal doorbell as "in flight" and
-  // starve the schedule.)
-  if (Config.TemplateRefreshCommits != 0 &&
-      CommitsSinceSpawn >= Config.TemplateRefreshCommits && !anyInFlight()) {
-    retireTemplate();
-    ++Refreshes;
-    if (!ensureTemplate()) {
-      ++Faults;
-      return false;
     }
   }
 
@@ -510,7 +494,7 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
       const WireNextCmd Next{Chunk, First, Last, Fault, Stream.end().Seq,
                              static_cast<uint8_t>(S.Attempt)};
       if (writeFull(S.WorkW, &Next, sizeof(Next))) {
-        ++Reuses;
+        ++Stats.ChildReuses;
         S.RecordDone = false;
         S.FinishSeen = false;
         S.Cursor = Stream.end();
@@ -529,16 +513,17 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   // parent has already overwritten part of what it needs, only a fresh
   // template (forked from the parent, hence current) can serve the fork.
   // Replacing it kills its residents, so wait for a moment with nothing
-  // in flight, as the scheduled refresh does, and run cold until then.
+  // in flight (the outgoing template has no children left to reap) and
+  // run cold until then.
   if (!Stream.holds(TemplateCursor)) {
     if (anyInFlight()) {
-      ++Faults;
+      ++Stats.PoolFaults;
       return false;
     }
     retireTemplate();
-    ++Refreshes;
+    ++Stats.TemplateRefreshes;
     if (!ensureTemplate()) {
-      ++Faults;
+      ++Stats.PoolFaults;
       return false;
     }
   }
@@ -580,8 +565,6 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
 
 void WorkerPool::pushCommit(unsigned Worker, const ChildReport &Rep) {
   appendCommitRecord(Stream, Worker, Rep);
-  if (TemplatePid > 0)
-    ++CommitsSinceSpawn;
 }
 
 bool WorkerPool::pump(unsigned Slot, ChunkChannel &Ch) {
@@ -634,7 +617,7 @@ void WorkerPool::killSlot(unsigned Slot) {
 }
 
 void WorkerPool::failTemplate() {
-  ++Faults;
+  ++Stats.PoolFaults;
   killTemplateHard();
 }
 

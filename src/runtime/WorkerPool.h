@@ -133,9 +133,10 @@ public:
   /// lazily on the first warm fork (and re-forked after a fault or a
   /// refresh). \p AllowReuse enables the fork-free steady state (child
   /// redispatch); the pipeline engine passes true, ForkJoin false (it
-  /// forks every round's chunks fresh).
+  /// forks every round's chunks fresh). The pool counts its faults,
+  /// refreshes and reuses straight into \p Stats.
   WorkerPool(const LoopSpec &Spec, const ExecutorConfig &Config,
-             unsigned NumSlots, bool AllowReuse);
+             unsigned NumSlots, bool AllowReuse, RunStats &Stats);
 
   /// Tears the template down (control-pipe EOF makes it kill and reap any
   /// straggling children, then exit) and reaps it.
@@ -164,8 +165,8 @@ public:
   /// the warm template. Either way the child starts on every commit pushed
   /// so far. Returns false when the pool is unusable (spawn failed, the
   /// template died, or it fell behind the stream while other chunks are in
-  /// flight) — the caller falls back to a cold fork. Handles the template
-  /// refresh and counts a pool fault on failure.
+  /// flight) — the caller falls back to a cold fork. Replaces a template
+  /// the stream has lapped and counts a pool fault on failure.
   bool warmFork(unsigned Slot, int64_t Chunk, int64_t First, int64_t Last,
                 const ArmedFault &Fault, ChunkChannel &Ch);
 
@@ -204,10 +205,6 @@ public:
   /// kill, so this is how a death outside the pool's control (killed,
   /// crashed, lapped by the stream) is noticed while chunks are waiting.
   int livenessFd() const { return ControlFd; }
-
-  uint64_t templateRefreshes() const { return Refreshes; }
-  uint64_t poolFaults() const { return Faults; }
-  uint64_t childReuses() const { return Reuses; }
 
   /// Retires the current template now (idempotent; the destructor would do
   /// the same). Executors call it before reading templateRusage() so the
@@ -253,6 +250,7 @@ private:
   const LoopSpec &Spec;
   const ExecutorConfig &Config;
   const bool AllowReuse;
+  RunStats &Stats;
   bool Invalid = false; // a ring/pipe failed: warm forks permanently refuse
   unsigned FailSite = 0; // first failure site (0 ring mmap, 1 pipe setup)
   std::vector<SlotState> Slots;
@@ -265,10 +263,6 @@ private:
   /// Stream position the template reached (or will reach) for its latest
   /// fork; its spawn position before the first.
   CommitStream::Cursor TemplateCursor;
-  unsigned CommitsSinceSpawn = 0;
-  uint64_t Refreshes = 0;
-  uint64_t Faults = 0;
-  uint64_t Reuses = 0;
 };
 
 /// Launches a child for one chunk — the single spawn path both executors

@@ -340,19 +340,24 @@ TEST(CommitFrameVersionTest, MetricsOffAndOnFramesBothRoundTrip) {
   std::string Error;
   ASSERT_TRUE(decodeChildReport(Off, Spec, Config.Params, RepOff, Error))
       << Error;
-  EXPECT_TRUE(RepOff.Metrics.empty());
+  EXPECT_EQ(RepOff.Metrics, nullptr)
+      << "an empty METRICS section carries no registry";
+  EXPECT_LT(sizeof(ChildReport), 2048u)
+      << "reports are decoded, parked and moved on the commit lane";
   ASSERT_TRUE(decodeChildReport(On, Spec, Config.Params, RepOn, Error))
       << Error;
-  EXPECT_EQ(RepOn.Metrics.counter(CounterId::ChildChunks), 1u);
-  EXPECT_EQ(RepOn.Metrics.counter(CounterId::ChildFrames), 1u);
-  EXPECT_EQ(RepOn.Metrics.histogram(HistogramId::ChunkExecNs).Count, 1u);
-  EXPECT_EQ(RepOn.Metrics.histogram(HistogramId::ChunkExecNs).Sum, 1234u);
-  EXPECT_EQ(RepOn.Metrics.histogram(HistogramId::SerializeNs).Count, 1u);
-  EXPECT_EQ(RepOn.Metrics.histogram(HistogramId::WriteLogBytes).Count, 1u);
+  ASSERT_NE(RepOn.Metrics, nullptr);
+  const MetricsRegistry &Child = *RepOn.Metrics;
+  EXPECT_EQ(Child.counter(CounterId::ChildChunks), 1u);
+  EXPECT_EQ(Child.counter(CounterId::ChildFrames), 1u);
+  EXPECT_EQ(Child.histogram(HistogramId::ChunkExecNs).Count, 1u);
+  EXPECT_EQ(Child.histogram(HistogramId::ChunkExecNs).Sum, 1234u);
+  EXPECT_EQ(Child.histogram(HistogramId::SerializeNs).Count, 1u);
+  EXPECT_EQ(Child.histogram(HistogramId::WriteLogBytes).Count, 1u);
   // WireFrameBytes excludes the trace/metrics sections (the registry
   // cannot contain its own size): header + fixed fields + body only.
   const LatencyHistogram &FrameH =
-      RepOn.Metrics.histogram(HistogramId::WireFrameBytes);
+      Child.histogram(HistogramId::WireFrameBytes);
   EXPECT_EQ(FrameH.Count, 1u);
   EXPECT_LT(FrameH.Max, On.size());
 
@@ -757,8 +762,7 @@ INSTANTIATE_TEST_SUITE_P(Paper, PipelineWorkload,
 /// A disjoint-writes loop with enough chunks to reach steady state.
 RunResult runDisjointOnTransport(TransportKind Transport,
                                  std::vector<int64_t> &Data,
-                                 unsigned Workers = 4,
-                                 unsigned TemplateRefreshCommits = 0) {
+                                 unsigned Workers = 4) {
   constexpr int64_t N = 64;
   Data.assign(N, -1);
   LoopSpec Spec;
@@ -771,7 +775,6 @@ RunResult runDisjointOnTransport(TransportKind Transport,
   Config.Params.ChunkFactor = 2;
   Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
   Config.Transport = Transport;
-  Config.TemplateRefreshCommits = TemplateRefreshCommits;
   PipelineExecutor Exec(Config);
   return Exec.run(Spec);
 }
@@ -796,7 +799,8 @@ TEST(TransportTest, SteadyStateForksAreWarm) {
   EXPECT_GT(R.Stats.warmForkRate(), 0.9)
       << "with a healthy pool, (almost) every chunk re-forks warm";
   EXPECT_EQ(R.Stats.PoolFaults, 0u);
-  EXPECT_EQ(R.Stats.TemplateRefreshes, 0u) << "refresh is off by default";
+  EXPECT_EQ(R.Stats.TemplateRefreshes, 0u)
+      << "a 1 MiB stream never laps the template on this loop";
 }
 
 TEST(TransportTest, PipeTransportNeverTouchesThePool) {
@@ -918,20 +922,6 @@ TEST(TransportTest, ConflictHeavyLoopStaysCorrectUnderReuse) {
       << "aborted-child memory must never reach committed state";
 }
 
-TEST(TransportTest, TemplateRefreshHonorsCommitBudget) {
-  // P=1 serializes chunks, so "no warm child in flight" holds between any
-  // two chunks and the refresh schedule can actually fire.
-  std::vector<int64_t> Data;
-  const RunResult R = runDisjointOnTransport(TransportKind::Ring, Data,
-                                             /*Workers=*/1,
-                                             /*TemplateRefreshCommits=*/4);
-  ASSERT_TRUE(R.succeeded()) << R.Detail;
-  EXPECT_GE(R.Stats.TemplateRefreshes, 2u)
-      << "32 chunks at a 4-commit budget must refresh repeatedly";
-  EXPECT_GT(R.Stats.warmForkRate(), 0.9)
-      << "refreshes re-fork the template, they do not degrade to cold";
-}
-
 TEST(TransportTest, ConflictHeavyLoopForksOnlyOncePerSlot) {
   // The same conflict storm: with no fault armed, every abort is rolled
   // back inside its resident child, so the template forks exactly one
@@ -1021,6 +1011,31 @@ TEST(TransportTest, ResidentCatchUpSurvivesStreamWraparound) {
   expectWideDisjointOutput(Data, 100);
   EXPECT_EQ(R.Stats.WarmForks - R.Stats.ChildReuses, 1u);
   EXPECT_EQ(R.Stats.TemplateRefreshes, 0u);
+}
+
+TEST(TransportTest, LappedTemplateIsRefreshedFromTheParent) {
+  // One worker keeps its resident child current across wraparounds of the
+  // small stream while the template stays at its spawn snapshot and is
+  // soon lapped. Each kill sends the struck chunk's retry to a template
+  // fork; the kills are spaced further apart than the stream holds, so
+  // each finds the template lapped and, with nothing in flight, replaces
+  // it with a fresh fork of the parent instead of degrading to cold.
+  FaultPlan::global().clear();
+  for (const int64_t Chunk : {6, 12, 18})
+    FaultPlan::global().arm(FaultKind::ChildKill, Chunk, /*Sticky=*/false);
+  std::vector<int64_t> Data;
+  const RunResult R = runWideDisjoint(Data, /*Workers=*/1,
+                                      /*WordsPerIter=*/100,
+                                      /*StreamBytes=*/4096);
+  const size_t Pending = FaultPlan::global().pendingCount();
+  FaultPlan::global().clear();
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  EXPECT_EQ(Pending, 0u) << "every armed kill must have struck";
+  expectWideDisjointOutput(Data, 100);
+  EXPECT_GE(R.Stats.TemplateRefreshes, 1u)
+      << "a lapped template must be replaced through the stream check";
+  EXPECT_GT(R.Stats.warmForkRate(), 0.9)
+      << "refreshes re-fork the template, they do not degrade to cold";
 }
 
 TEST(TransportTest, AbortedWritesDoNotSurviveInTheResidentChild) {

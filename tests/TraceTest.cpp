@@ -29,9 +29,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 
 using namespace alter;
@@ -76,6 +78,99 @@ TEST(RunStatsTest, SaturatedCountersDoNotOverflowDerivedRates) {
   EXPECT_EQ(S.stragglerStallNs(), 0u) << "busy > slot must clamp, not wrap";
   S.WorkerSlotNs = 1;
   EXPECT_EQ(S.stragglerStallNs(), 0u);
+}
+
+namespace {
+
+// Row values for MergeCoversEveryCounter: distinct per row and per side,
+// with the second side larger, so a row merge() skips or folds by the
+// wrong rule cannot come out right.
+void setRow(uint64_t &V, uint64_t Value, bool) { V = Value; }
+void setRow(bool &V, uint64_t, bool Second) { V = Second; }
+void setRow(RunningStat &V, uint64_t Value, bool) {
+  V.add(static_cast<double>(Value));
+  V.add(static_cast<double>(Value) * 10);
+}
+
+void expectSum(const char *Field, uint64_t A, uint64_t B, uint64_t M) {
+  EXPECT_EQ(M, A + B) << Field;
+}
+void expectMax(const char *Field, uint64_t A, uint64_t B, uint64_t M) {
+  EXPECT_EQ(M, std::max(A, B)) << Field;
+}
+void expectOr(const char *Field, bool A, bool B, bool M) {
+  EXPECT_EQ(M, A || B) << Field;
+}
+void expectStat(const char *Field, const RunningStat &A, const RunningStat &B,
+                const RunningStat &M) {
+  EXPECT_EQ(M.count(), A.count() + B.count()) << Field;
+  EXPECT_DOUBLE_EQ(M.sum(), A.sum() + B.sum()) << Field;
+  EXPECT_EQ(M.min(), std::min(A.min(), B.min())) << Field;
+  EXPECT_EQ(M.max(), std::max(A.max(), B.max())) << Field;
+}
+
+/// The keys of \p Json's outermost object.
+std::set<std::string> topLevelKeys(const std::string &Json) {
+  std::set<std::string> Keys;
+  int Depth = 0;
+  for (size_t I = 0; I < Json.size(); ++I) {
+    const char C = Json[I];
+    if (C == '{' || C == '[') {
+      ++Depth;
+    } else if (C == '}' || C == ']') {
+      --Depth;
+    } else if (C == '"') {
+      size_t End = I + 1;
+      while (End < Json.size() && Json[End] != '"')
+        End += Json[End] == '\\' ? 2 : 1;
+      const size_t Next = Json.find_first_not_of(" \t\n", End + 1);
+      if (Depth == 1 && Next != std::string::npos && Json[Next] == ':')
+        Keys.insert(Json.substr(I + 1, End - I - 1));
+      I = End;
+    }
+  }
+  return Keys;
+}
+
+std::string readWholeFile(const std::string &Path) {
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+} // namespace
+
+TEST(RunStatsTest, MergeCoversEveryCounter) {
+  RunStats A, B;
+  uint64_t Row = 0;
+#define ALTER_SET_ROW(Field, ...)                                              \
+  ++Row;                                                                       \
+  setRow(A.Field, 2 * Row, /*Second=*/false);                                  \
+  setRow(B.Field, 2 * Row + 1, /*Second=*/true);
+  ALTER_RUN_STATS(ALTER_SET_ROW)
+#undef ALTER_SET_ROW
+  RunStats M = A;
+  M.merge(B);
+#define ALTER_CHECK_ROW(Field, Type, Merge, ...)                               \
+  expect##Merge(#Field, A.Field, B.Field, M.Field);
+  ALTER_RUN_STATS(ALTER_CHECK_ROW)
+#undef ALTER_CHECK_ROW
+}
+
+TEST(RunStatsTest, MetricsReportKeepsTheCommittedKeySet) {
+  // alter-metrics-v1 is a committed schema: the table's MetricsKey column
+  // must reproduce BENCH_metrics.json's top-level keys exactly.
+  const std::string Path = ::testing::TempDir() + "trace_test_metrics.json";
+  const RunResult R;
+  std::string Error;
+  ASSERT_TRUE(R.writeMetricsJson(Path, &Error)) << Error;
+  const std::set<std::string> Keys = topLevelKeys(readWholeFile(Path));
+  std::remove(Path.c_str());
+  const std::set<std::string> Baseline =
+      topLevelKeys(readWholeFile(ALTER_SOURCE_DIR "/BENCH_metrics.json"));
+  ASSERT_FALSE(Baseline.empty());
+  EXPECT_EQ(Keys, Baseline);
 }
 
 //===----------------------------------------------------------------------===
