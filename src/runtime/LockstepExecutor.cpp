@@ -92,6 +92,7 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
       // snapshot (the paper's per-process isolation, step 2b).
       Ctx.suspendTxn();
       Costs[W].WorkNs = nowNs() - T0;
+      Result.Stats.WorkerBusyNs += Costs[W].WorkNs;
       Costs[W].BytesTouched = Ctx.memTrafficBytes();
       if (Sink.events())
         Sink.event(TraceEventKind::ChunkExec, /*Worker=*/W + 1,
@@ -175,8 +176,12 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
         std::reverse(Pending.begin(), Pending.begin() + Retried);
     }
 
-    // Step 2d: advance the modeled parallel clock past the barrier.
-    Result.Stats.SimTimeNs += Config.Costs->roundNs(Costs, P);
+    // Step 2d: advance the modeled parallel clock past the barrier. Each of
+    // the P workers owns the whole modeled round, busy or not, so the round
+    // books P x its length as slot time (occupancy = busy / slot).
+    const uint64_t RoundNs = Config.Costs->roundNs(Costs, P);
+    Result.Stats.SimTimeNs += RoundNs;
+    Result.Stats.WorkerSlotNs += RoundNs * P;
     if (Sink.events())
       Sink.event(TraceEventKind::RoundBarrier, /*Worker=*/0, /*Chunk=*/-1,
                  traceNowNs(), 0, /*Arg0=*/Result.Stats.NumRounds);

@@ -189,6 +189,20 @@ TEST(GenomeTest, UniqueSetSurvivesConflicts) {
   EXPECT_EQ(W.uniqueCount(), SeqUnique);
 }
 
+TEST(KmeansTest, LockstepReportsModeledOccupancy) {
+  // Lockstep books each transaction's measured work as busy time and P x
+  // the modeled round length as slot time, so its occupancy is a real
+  // fraction of the modeled capacity, never the 0 of an unset counter.
+  KmeansWorkload W;
+  W.setUp(0);
+  const RunResult R = W.runLockstep(
+      W.resolveAnnotation(*W.paperAnnotation()), /*NumWorkers=*/4);
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  EXPECT_GT(R.Stats.WorkerBusyNs, 0u);
+  EXPECT_GT(R.Stats.occupancy(), 0.0);
+  EXPECT_LE(R.Stats.occupancy(), 1.0);
+}
+
 TEST(Ssca2Test, NonePolicyLosesUpdates) {
   Ssca2Workload W;
   W.setUp(0);
