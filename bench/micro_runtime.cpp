@@ -354,6 +354,45 @@ static void BM_TransportWarmForkRing(benchmark::State &State) {
 }
 BENCHMARK(BM_TransportWarmForkRing)->Arg(1)->Arg(4)->Arg(16);
 
+/// The resident redispatch round trip, per chunk: the parent publishes a
+/// chunk, a resident child claims it, runs an empty body, pushes its frame
+/// and rings; the parent reaps, validates and commits it. Thousands of
+/// chunks per run, so the pool's start-up cost is amortized away; range(0)
+/// residents.
+static void BM_ResidentChunkHandoff(benchmark::State &State) {
+  constexpr int64_t NumChunks = 4096;
+  LoopSpec Spec;
+  Spec.NumIterations = NumChunks;
+  Spec.Body = [](TxnContext &, int64_t) {};
+  ExecutorConfig Config;
+  Config.NumWorkers = static_cast<unsigned>(State.range(0));
+  Config.Params.Conflict = ConflictPolicy::WAW;
+  Config.Params.CommitOrder = CommitOrderPolicy::OutOfOrder;
+  Config.Params.ChunkFactor = 1;
+  Config.Transport = TransportKind::Ring;
+  uint64_t Chunks = 0, Sleeps = 0, Wakes = 0;
+  for (auto _ : State) {
+    PipelineExecutor Exec(Config);
+    const RunResult R = Exec.run(Spec);
+    if (R.Status != RunStatus::Success)
+      State.SkipWithError("handoff loop failed");
+    Chunks += R.Stats.NumCommitted;
+    Sleeps += R.Stats.ClaimSleeps;
+    Wakes += R.Stats.PollWakes;
+  }
+  // items/s is chunks/s; its inverse is the round trip per chunk.
+  State.SetItemsProcessed(static_cast<int64_t>(Chunks));
+  State.counters["claim_sleeps_per_chunk"] =
+      Chunks ? static_cast<double>(Sleeps) / static_cast<double>(Chunks) : 0;
+  State.counters["poll_wakes_per_chunk"] =
+      Chunks ? static_cast<double>(Wakes) / static_cast<double>(Chunks) : 0;
+}
+BENCHMARK(BM_ResidentChunkHandoff)
+    ->Arg(1)
+    ->Arg(3)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 static void BM_AnnotationParse(benchmark::State &State) {
   for (auto _ : State)
     benchmark::DoNotOptimize(

@@ -294,6 +294,11 @@ assert reuse["child_reuses"] > 0, \
     "the pipelined engine must reach the fork-free steady state at P=4"
 assert by_series["forkjoin-small-ring"][4]["child_reuses"] == 0, \
     "the round-barrier engine must never redispatch a resident child"
+for procs, rr in by_series["pipeline-small-ring"].items():
+    runs = rr["committed"] + rr["retries"]
+    assert rr["wire_bytes_copied"] <= runs, (
+        f"pipeline/P{procs}: at most one doorbell byte per chunk run, got "
+        f"{rr['wire_bytes_copied']} bytes for {runs} runs")
 print(f"transport JSON OK: {len(small)} A/B runs, "
       f"{reuse['child_reuses']} fork-free redispatches at P=4")
 EOF

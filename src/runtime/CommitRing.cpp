@@ -9,9 +9,12 @@
 #include "support/Trace.h"
 
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <ctime>
+#include <linux/futex.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 using namespace alter;
@@ -204,4 +207,108 @@ CommitStream::next(Cursor &C, std::vector<uint8_t> &Payload) const {
 void CommitStream::protectReadOnly() {
   if (Hdr)
     (void)::mprotect(Hdr, MapBytes, PROT_READ);
+}
+
+//===----------------------------------------------------------------------===
+// DispatchQueue
+//===----------------------------------------------------------------------===
+
+DispatchQueue::DispatchQueue(size_t NumEntries, unsigned Slots) {
+  Cap = roundUpPow2(NumEntries < 2 ? 2 : NumEntries);
+  const size_t Page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  const size_t Bytes =
+      sizeof(Header) + Slots * sizeof(SlotWords) + Cap * sizeof(Entry);
+  MapBytes = (Bytes + Page - 1) / Page * Page;
+  void *Mem = ::mmap(nullptr, MapBytes, PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (Mem == MAP_FAILED) {
+    alterLogAlways(LogLevel::Warn, "queue",
+                   "event=mmap_fail bytes=%zu errno=%d", MapBytes, errno);
+    MapBytes = 0;
+    Cap = 0;
+    return;
+  }
+  // Fresh anonymous pages are zero: every entry starts as index 0 with no
+  // status, which matches no open word.
+  Hdr = new (Mem) Header;
+  Words = reinterpret_cast<SlotWords *>(static_cast<uint8_t *>(Mem) +
+                                        sizeof(Header));
+  Entries = reinterpret_cast<Entry *>(reinterpret_cast<uint8_t *>(Words) +
+                                      Slots * sizeof(SlotWords));
+}
+
+DispatchQueue::~DispatchQueue() {
+  if (Hdr)
+    ::munmap(Hdr, MapBytes);
+}
+
+void DispatchQueue::open(uint64_t Index) {
+  entry(Index).State.store(stateWord(Index, EntryStatus::Open),
+                           std::memory_order_release);
+  if (Hdr->Published.load(std::memory_order_relaxed) <= Index)
+    Hdr->Published.store(Index + 1, std::memory_order_release);
+}
+
+bool DispatchQueue::retract(uint64_t Index) {
+  uint64_t Open = stateWord(Index, EntryStatus::Open);
+  return entry(Index).State.compare_exchange_strong(
+      Open, stateWord(Index, EntryStatus::Retracted),
+      std::memory_order_acq_rel);
+}
+
+void DispatchQueue::setVerdicts(unsigned Slot, uint64_t Taken,
+                                uint64_t Settled) {
+  Words[Slot].Taken.store(Taken, std::memory_order_release);
+  Words[Slot].Settled.store(Settled, std::memory_order_release);
+}
+
+void DispatchQueue::ring() {
+  Hdr->Bell.fetch_add(1, std::memory_order_seq_cst);
+  if (Hdr->Sleepers.load(std::memory_order_seq_cst) != 0)
+    ::syscall(SYS_futex, &Hdr->Bell, FUTEX_WAKE, INT32_MAX, nullptr, nullptr,
+              0);
+}
+
+bool DispatchQueue::claim(unsigned Slot, uint8_t Tag, uint64_t &Index) {
+  const uint64_t End = Hdr->Published.load(std::memory_order_acquire);
+  for (uint64_t I = Hdr->ScanFrom.load(std::memory_order_acquire); I < End;
+       ++I) {
+    uint64_t Word = stateWord(I, EntryStatus::Open);
+    if (entry(I).State.load(std::memory_order_acquire) != Word)
+      continue;
+    if (entry(I).State.compare_exchange_strong(
+            Word, stateWord(I, EntryStatus::Claimed, Slot, Tag),
+            std::memory_order_acq_rel)) {
+      Index = I;
+      return true;
+    }
+  }
+  return false;
+}
+
+void DispatchQueue::sleep(uint32_t Seen) {
+  Hdr->Sleepers.fetch_add(1, std::memory_order_seq_cst);
+  if (Hdr->Bell.load(std::memory_order_seq_cst) == Seen) {
+    Hdr->ClaimSleeps.fetch_add(1, std::memory_order_relaxed);
+    // The timeout is a liveness backstop only: ring() wakes every sleeper.
+    timespec Ts{0, 100'000'000};
+    ::syscall(SYS_futex, &Hdr->Bell, FUTEX_WAIT, Seen, &Ts, nullptr, 0);
+  }
+  Hdr->Sleepers.fetch_sub(1, std::memory_order_seq_cst);
+}
+
+void DispatchQueue::wakeParent() {
+  Hdr->ParentBell.fetch_add(1, std::memory_order_seq_cst);
+  if (Hdr->ParentSleeping.load(std::memory_order_seq_cst) != 0)
+    ::syscall(SYS_futex, &Hdr->ParentBell, FUTEX_WAKE, 1, nullptr, nullptr,
+              0);
+}
+
+void DispatchQueue::sleepParent(uint32_t Seen, int TimeoutMs) {
+  Hdr->ParentSleeping.store(1, std::memory_order_seq_cst);
+  if (Hdr->ParentBell.load(std::memory_order_seq_cst) == Seen) {
+    timespec Ts{TimeoutMs / 1000, (TimeoutMs % 1000) * 1'000'000L};
+    ::syscall(SYS_futex, &Hdr->ParentBell, FUTEX_WAIT, Seen, &Ts, nullptr, 0);
+  }
+  Hdr->ParentSleeping.store(0, std::memory_order_seq_cst);
 }

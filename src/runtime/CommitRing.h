@@ -10,9 +10,9 @@
 /// forked child to the parent without crossing a kernel pipe. The mapping
 /// is created by the parent before the worker-pool template forks, so the
 /// template and every re-forked child inherit the same physical pages; a
-/// child "ships" its commit message by memcpy into the ring and a 1-byte
-/// doorbell on a side pipe (see WorkerPool.h), which is what keeps the
-/// executors' poll(2) event loops unchanged.
+/// child "ships" its commit message by memcpy into the ring, and wakes the
+/// parent with a 1-byte doorbell on a side pipe (one-shot children) or a
+/// futex in the DispatchQueue (resident children); see WorkerPool.h.
 ///
 /// Layout: one cache-line-aligned header (free-running Head/Tail counters)
 /// followed by a power-of-two data area. Head is advanced only by the
@@ -31,11 +31,15 @@
 ///
 /// CommitStream, below, carries commits the other way: the parent's
 /// validated commits, broadcast to every replica of committed state.
+/// DispatchQueue carries the work itself: chunks the parent publishes and
+/// resident children claim.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALTER_RUNTIME_COMMITRING_H
 #define ALTER_RUNTIME_COMMITRING_H
+
+#include "support/FaultInjection.h"
 
 #include <atomic>
 #include <cstddef>
@@ -52,16 +56,15 @@ namespace alter {
 /// being mistaken for progress of the current child.
 constexpr uint8_t RingDoorbellTagMask = 0x3f;
 constexpr uint8_t RingDoorbellKindMask = 0xc0;
-/// Child: the record is fully published and the child is now resident,
-/// blocked on its work pipe awaiting another chunk (or a kill). Completes
-/// the record even when an injected truncation keeps the frame from ever
-/// looking whole. Always the child's LAST doorbell for a chunk — nothing
-/// with this tag follows it, which is what lets the parent redispatch the
-/// same child under the same tag without racing stale bytes.
+/// Child: the last piece of a record is published. Completes the record
+/// even when an injected truncation keeps the frame from ever looking
+/// whole. A record that fits the ring rings only this one byte.
 constexpr uint8_t RingDoorbellFinish = 0x00;
-/// Child: bytes were published into the ring.
+/// Child: a piece of a record was published and more follow (a record
+/// larger than the ring's free space).
 constexpr uint8_t RingDoorbellData = 0x40;
-/// Template: the child was reaped after a clean exit(0).
+/// Template: the child was reaped after a clean exit(0), or a resident
+/// child bowed out because the commit stream lapped it.
 constexpr uint8_t RingDoorbellClean = 0x80;
 /// Template: the child was reaped after a signal or nonzero exit.
 constexpr uint8_t RingDoorbellAbnormal = 0xc0;
@@ -137,13 +140,14 @@ public:
   /// child's record was fully consumed or its child reaped).
   void reset();
 
+  /// The producer's full-ring wait: a short sleep while the parent drains.
+  static void backoff();
+
 private:
   struct Header {
     alignas(64) std::atomic<uint64_t> Head; // producer cursor (free-running)
     alignas(64) std::atomic<uint64_t> Tail; // consumer cursor (free-running)
   };
-
-  static void backoff();
 
   Header *Hdr = nullptr;
   uint8_t *Data = nullptr;
@@ -239,6 +243,172 @@ private:
   size_t Cap = 0;
   size_t MapBytes = 0;
   Cursor End; // producer-private
+};
+
+/// The parent-written, child-claimed chunk queue of the pipeline engine's
+/// resident children, in MAP_SHARED anonymous memory made before the warm
+/// template forks. The parent alone decides what runs: it publishes
+/// entries {chunk, iteration range, armed fault} in its pending order and
+/// may retract an entry nobody has claimed yet. A resident child claims the
+/// lowest open entry with one compare-and-swap on the entry's state word,
+/// which records the claimer's slot and attempt tag, so the parent can
+/// attribute every claim — including one whose claimer died right after
+/// the swap — without any message from the child.
+///
+/// Besides the entries the region holds the parent's published commit
+/// sequence (a claimer's snapshot), per slot a pair of verdict counters
+/// (reports of the slot's resident the parent has taken, and of those the
+/// ones it has decided) and the count of records the resident has
+/// published, one futex word children sleep on while there is nothing they
+/// may claim — the parent bumps it after every batch of publishes and
+/// verdicts — and one the parent sleeps on while it waits for records.
+class DispatchQueue {
+public:
+  /// State of an entry: Open (claimable), Claimed (by a slot and attempt
+  /// tag) or Retracted (taken back by the parent). The word also carries
+  /// the entry's index, so a recycled ring position never matches a stale
+  /// reader's expectation.
+  enum class EntryStatus : uint8_t { Open = 1, Claimed = 2, Retracted = 3 };
+
+  /// One published chunk. Written by the parent before the entry opens.
+  struct Entry {
+    std::atomic<uint64_t> State;
+    /// Commit sequence the claimer's snapshot reflects; written by the
+    /// claimer before it runs the chunk.
+    std::atomic<uint64_t> SnapshotSeq;
+    int64_t Chunk;
+    int64_t First;
+    int64_t Last;
+    /// The fault the parent took for this dispatch (FaultPlan::take).
+    ArmedFault Fault;
+  };
+
+  /// Maps a queue of at least \p Entries entries (rounded up to a power of
+  /// two) and \p Slots verdict-counter pairs. An mmap failure leaves
+  /// valid() false.
+  DispatchQueue(size_t Entries, unsigned Slots);
+  ~DispatchQueue();
+
+  DispatchQueue(const DispatchQueue &) = delete;
+  DispatchQueue &operator=(const DispatchQueue &) = delete;
+
+  bool valid() const { return Hdr != nullptr; }
+
+  /// Ring positions; the parent keeps fewer entries outstanding.
+  size_t capacity() const { return Cap; }
+
+  static uint64_t stateWord(uint64_t Index, EntryStatus St, unsigned Slot = 0,
+                            uint8_t Tag = 0) {
+    return Index << 32 | uint64_t(St) << 24 | uint64_t(Slot & 0xffff) << 8 |
+           Tag;
+  }
+  static EntryStatus status(uint64_t Word) {
+    return static_cast<EntryStatus>((Word >> 24) & 0xff);
+  }
+  static unsigned claimSlot(uint64_t Word) { return (Word >> 8) & 0xffff; }
+  static uint8_t claimTag(uint64_t Word) { return Word & 0xff; }
+  static uint64_t wordIndex(uint64_t Word) { return Word >> 32; }
+
+  Entry &entry(uint64_t Index) const { return Entries[Index & (Cap - 1)]; }
+
+  /// Parent: opens entry \p Index (the next index; the caller ensures the
+  /// ring position is no longer in use) whose fields it has filled in.
+  void open(uint64_t Index);
+  /// Parent: takes back an unclaimed entry. False when it was claimed.
+  bool retract(uint64_t Index);
+  /// Parent: the lowest index that may still be open; claimers scan from
+  /// there.
+  void setScanFrom(uint64_t Index) {
+    Hdr->ScanFrom.store(Index, std::memory_order_release);
+  }
+  /// Parent: publishes the commit sequence claimers take as snapshot.
+  void setCommitSeq(uint64_t Seq) {
+    Hdr->CommitSeq.store(Seq, std::memory_order_release);
+  }
+  /// Parent: sets slot \p Slot's verdict counters (a new resident starts at
+  /// zero).
+  void setVerdicts(unsigned Slot, uint64_t Taken, uint64_t Settled);
+  /// Parent: zeroes slot \p Slot's published-record count (a new resident,
+  /// once its predecessor can publish no more).
+  void resetRecords(unsigned Slot) {
+    Words[Slot].Records.store(0, std::memory_order_release);
+  }
+  /// Parent: records slot \p Slot's resident has published whole. Read it
+  /// before draining the ring: every byte of those records is then there.
+  uint64_t records(unsigned Slot) const {
+    return Words[Slot].Records.load(std::memory_order_acquire);
+  }
+  /// Parent: the generation to pass to sleepParent() after re-checking for
+  /// work.
+  uint32_t parentGeneration() const {
+    return Hdr->ParentBell.load(std::memory_order_acquire);
+  }
+  /// Parent: sleeps until a child or the template calls wakeParent() after
+  /// \p Seen was read, or \p TimeoutMs passes.
+  void sleepParent(uint32_t Seen, int TimeoutMs);
+  /// Parent: closes slot \p Slot's claim gate until the next
+  /// setVerdicts: a resident being retired, or a successor that must not
+  /// publish before its predecessor's bytes are out of the ring.
+  void closeSlot(unsigned Slot) { setVerdicts(Slot, uint64_t(1) << 62, 0); }
+  /// Parent: wakes every sleeping claimer (after publishing or verdicts).
+  void ring();
+
+  /// Child: claims the lowest open entry for (\p Slot, \p Tag) into
+  /// \p Index. False when none is open.
+  bool claim(unsigned Slot, uint8_t Tag, uint64_t &Index);
+  uint64_t commitSeq() const {
+    return Hdr->CommitSeq.load(std::memory_order_acquire);
+  }
+  uint64_t taken(unsigned Slot) const {
+    return Words[Slot].Taken.load(std::memory_order_acquire);
+  }
+  uint64_t settled(unsigned Slot) const {
+    return Words[Slot].Settled.load(std::memory_order_acquire);
+  }
+  /// Child: the futex generation to pass to sleep() after re-checking.
+  uint32_t generation() const {
+    return Hdr->Bell.load(std::memory_order_acquire);
+  }
+  /// Child: sleeps until ring() moves the generation past \p Seen (or a
+  /// short backstop timeout), counting the sleep.
+  void sleep(uint32_t Seen);
+  /// Child: its record is whole in slot \p Slot's ring; wakes the parent.
+  void published(unsigned Slot) {
+    Words[Slot].Records.fetch_add(1, std::memory_order_release);
+    wakeParent();
+  }
+  /// Child or template: wakes the parent if it sleeps in sleepParent(). A
+  /// futex wake, unlike a pipe write, does not pull the parent onto the
+  /// waker's CPU, so a resident runs on while the parent commits.
+  void wakeParent();
+
+  /// Claimer sleeps so far, over every process.
+  uint64_t claimSleeps() const {
+    return Hdr->ClaimSleeps.load(std::memory_order_relaxed);
+  }
+
+private:
+  struct Header {
+    alignas(64) std::atomic<uint64_t> Published;
+    std::atomic<uint64_t> ScanFrom;
+    std::atomic<uint64_t> CommitSeq;
+    std::atomic<uint64_t> ClaimSleeps;
+    alignas(64) std::atomic<uint32_t> Bell;
+    std::atomic<uint32_t> Sleepers;
+    alignas(64) std::atomic<uint32_t> ParentBell;
+    std::atomic<uint32_t> ParentSleeping;
+  };
+  struct SlotWords {
+    alignas(64) std::atomic<uint64_t> Taken; // parent-written
+    std::atomic<uint64_t> Settled;
+    alignas(64) std::atomic<uint64_t> Records; // child-written
+  };
+
+  Header *Hdr = nullptr;
+  SlotWords *Words = nullptr;
+  Entry *Entries = nullptr;
+  size_t Cap = 0;
+  size_t MapBytes = 0;
 };
 
 } // namespace alter

@@ -54,7 +54,7 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
 
   // No child reuse here: every round's chunks fork fresh from the template,
   // which catches up to the previous rounds' commits first.
-  Lane.startPool(/*AllowReuse=*/false);
+  Lane.startPool(/*Residents=*/false);
   WorkerPool *Pool = Lane.Pool.get();
   // Effective parallelism: halved (never below 1) after consecutive rounds
   // in which EVERY launch failed — fork/pipe exhaustion at full width.
@@ -194,7 +194,7 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
     for (unsigned W = 0; W != RoundSize; ++W) {
       if (!Chans[W].Launched)
         FailWhy[W] = "fork/pipe failure";
-      else if (Lane.reap(W, Chans[W], Reports[W], FailWhy[W]) &&
+      else if (Lane.reap(Chans[W], Reports[W], FailWhy[W]) &&
                !Lane.account(Reports[W]))
         Lane.fail(RoundChunks[W],
                   strprintf("worker %u (chunk %lld) exceeded the access-set "

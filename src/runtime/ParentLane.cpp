@@ -33,11 +33,11 @@ int64_t ParentLane::last(int64_t Chunk) const {
   return std::min<int64_t>(first(Chunk) + Cf, Spec.NumIterations);
 }
 
-void ParentLane::startPool(bool AllowReuse) {
+void ParentLane::startPool(bool Residents) {
   if (Config.Transport != TransportKind::Ring)
     return;
   Pool = std::make_unique<WorkerPool>(Spec, Config, Config.NumWorkers,
-                                      AllowReuse, Stats);
+                                      Residents, Stats);
   StartNs = nowNs();
   if (Pool->valid())
     return;
@@ -93,8 +93,14 @@ bool ParentLane::launch(unsigned Slot, int64_t Chunk,
   ArmedFault Fault;
   if (!takeFault(Chunk, /*Worker=*/0, Fault))
     return false;
-  if (!spawnChunkChild(Spec, Config, Pool.get(), Slot, Chunk, first(Chunk),
-                       last(Chunk), Fault, CloseInChild, Ch)) {
+  return spawn(Slot, Chunk, Fault, CloseInChild, Ch, Pool.get(), 0);
+}
+
+bool ParentLane::spawn(unsigned Slot, int64_t Chunk, const ArmedFault &Fault,
+                       const std::vector<int> &CloseInChild, ChunkChannel &Ch,
+                       WorkerPool *Via, uint64_t BumpFloor) {
+  if (!spawnChunkChild(Spec, Config, Via, Slot, Chunk, first(Chunk),
+                       last(Chunk), Fault, CloseInChild, Ch, BumpFloor)) {
     forkFailed(Chunk, /*Worker=*/0);
     return false;
   }
@@ -104,13 +110,17 @@ bool ParentLane::launch(unsigned Slot, int64_t Chunk,
     ++Stats.ColdForks;
   if (Sink.events())
     Sink.event(TraceEventKind::Fork, /*Worker=*/0, Chunk, traceNowNs(), 0,
-               /*Arg0=*/Slot + 1,
-               /*Arg1=*/Ch.Reused ? 2 : Ch.Warm ? 1 : 0);
+               /*Arg0=*/Slot + 1, /*Arg1=*/Ch.Warm ? 1 : 0);
   return true;
 }
 
-bool ParentLane::reap(unsigned Slot, ChunkChannel &Ch, ChildReport &Rep,
-                      std::string &Why) {
+void ParentLane::claimed(unsigned Slot, int64_t Chunk, bool Reuse) {
+  if (Sink.events())
+    Sink.event(TraceEventKind::Fork, /*Worker=*/0, Chunk, traceNowNs(), 0,
+               /*Arg0=*/Slot + 1, /*Arg1=*/Reuse ? 2 : 1);
+}
+
+bool ParentLane::reap(ChunkChannel &Ch, ChildReport &Rep, std::string &Why) {
   Stats.WireBytesCopied += Ch.BytesCopied;
   if (Ch.Warm) {
     // The template reaped the child; its doorbell carried the verdict.
@@ -132,11 +142,7 @@ bool ParentLane::reap(unsigned Slot, ChunkChannel &Ch, ChildReport &Rep,
       return false;
     }
   }
-  if (decode(Ch.Buf, Rep, Why))
-    return true;
-  if (Ch.Warm)
-    Pool->discardResident(Slot); // its next chunk re-forks
-  return false;
+  return decode(Ch.Buf, Rep, Why);
 }
 
 bool ParentLane::decode(const std::vector<uint8_t> &Frame, ChildReport &Rep,
@@ -313,6 +319,7 @@ RunResult ParentLane::finish(RunStatus Status, std::string Detail) {
     // it reaped, so the warm lineage is accounted transitively.
     Pool->retire();
     addUsage(Pool->templateRusage());
+    Stats.ClaimSleeps += Pool->claimSleeps();
   }
   sample(0, /*Force=*/true);
   logRunDone(Engine, Result);

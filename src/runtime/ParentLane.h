@@ -94,11 +94,12 @@ public:
   /// Real-clock start of the run.
   uint64_t startNs() const { return StartNs; }
 
-  /// Builds the warm pool when the run uses the ring transport. A pool
-  /// that cannot be built (ENOMEM/EMFILE) is a contained resource fault:
-  /// the run retreats to the cold pipe transport. The run's clock restarts
+  /// Builds the warm pool when the run uses the ring transport, with a
+  /// dispatch queue for resident children when \p Residents. A pool that
+  /// cannot be built (ENOMEM/EMFILE) is a contained resource fault: the
+  /// run retreats to the cold pipe transport. The run's clock restarts
   /// once the transport is up.
-  void startPool(bool AllowReuse);
+  void startPool(bool Residents);
 
   /// Dispatch of \p Chunk to worker track \p Worker: passes the parent's
   /// dispatch kill point and takes the chunk's armed fault into \p Fault.
@@ -115,12 +116,21 @@ public:
   bool launch(unsigned Slot, int64_t Chunk,
               const std::vector<int> &CloseInChild, ChunkChannel &Ch);
 
+  /// The launch half of launch(), for a fault already taken: a one-shot
+  /// child from \p Via when it is non-null and healthy, else cold with its
+  /// arena cursor advanced to \p BumpFloor.
+  bool spawn(unsigned Slot, int64_t Chunk, const ArmedFault &Fault,
+             const std::vector<int> &CloseInChild, ChunkChannel &Ch,
+             WorkerPool *Via, uint64_t BumpFloor);
+
+  /// Traces a resident child in slot \p Slot claiming \p Chunk (its
+  /// Fork event; the pool counts the fork or reuse).
+  void claimed(unsigned Slot, int64_t Chunk, bool Reuse);
+
   /// Reaps the child behind a completed channel and decodes its report
   /// into \p Rep. A crash, a failed wait or a rejected frame is counted
-  /// and described in \p Why, and returns false; a rejected warm record
-  /// also retires the slot's resident child.
-  bool reap(unsigned Slot, ChunkChannel &Ch, ChildReport &Rep,
-            std::string &Why);
+  /// and described in \p Why, and returns false.
+  bool reap(ChunkChannel &Ch, ChildReport &Rep, std::string &Why);
 
   /// Decodes one commit frame into \p Rep; a rejected frame is counted as
   /// a wire reject and described in \p Why.

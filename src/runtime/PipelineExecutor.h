@@ -5,23 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pipelined successor to ForkJoinExecutor's round barrier: a
-/// poll(2)-driven parent keeps NumWorkers forked children in flight
-/// continuously. The moment any child's commit message arrives, the parent
-/// validates it, commits or requeues it, and immediately forks the next
-/// pending chunk into the freed slot — no worker ever idles behind a
-/// straggler chunk of its "round", because there are no rounds.
+/// The pipelined successor to ForkJoinExecutor's round barrier: the
+/// parent keeps NumWorkers children busy continuously. The moment any
+/// child's commit message arrives, the parent validates it and commits or
+/// requeues it — no worker ever idles behind a straggler chunk of its
+/// "round", because there are no rounds. On the ring transport each slot
+/// holds a resident child that claims its next chunk itself from the
+/// pool's dispatch queue, which the parent keeps published in pending
+/// order (see WorkerPool.h); on the pipe transport, or for a slot whose
+/// resident cannot be forked, the parent forks a cold child per chunk.
 ///
 /// Semantics (relative to §4.2/§4.3 and Theorems 4.1-4.4):
 ///
 ///  - Each child starts on every commit applied so far: a cold child is
-///    forked from the parent, a warm one (ring transport) replays the
-///    pool's commit stream up to its dispatch first, whether the template
-///    forks it or it is a resident child taking another chunk. The
-///    transaction records the commit sequence at dispatch ("snapshot
-///    sequence") and validates against exactly
-///    the write sets of transactions that committed AFTER that point
-///    (ConflictDetector's epoch interface). This generalizes the round
+///    forked from the parent, a resident replays the pool's commit stream
+///    through the commit count it reads right after claiming the chunk.
+///    The transaction records that count ("snapshot sequence") and
+///    validates against exactly the write sets of transactions that
+///    committed AFTER that point (ConflictDetector's epoch interface). This generalizes the round
 ///    discipline — a round-mate is just a transaction whose snapshot you
 ///    share — and preserves each theorem's guarantee:
 ///      * RAW/FULL: a committing transaction's reads are unaffected by
@@ -75,6 +76,11 @@ public:
   /// Consecutive validation failures of one chunk that trigger the
   /// drain-and-run-solo starvation guard.
   static constexpr unsigned StarvationRetryLimit = 4;
+
+  /// Queue entries the parent keeps open per live resident child: enough
+  /// that a resident finishing a chunk, and the one ahead of it, finds its
+  /// next chunk published without waiting for the parent.
+  static constexpr unsigned OpenEntriesPerResident = 2;
 
 private:
   ExecutorConfig Config;

@@ -120,16 +120,26 @@ const char *scheduleKindName(ScheduleKind Kind);
   X(WireBytesCopied, uint64_t, Sum, "wire_bytes_copied", nullptr, false)      \
                                                                               \
   /* Warm worker pool (TransportKind::Ring steady state). */                  \
-  /* Chunks forked from the warm template process. */                         \
+  /* Children forked from the warm template process (one-shot chunk           \
+     children, and resident children of the pipeline engine), plus the        \
+     chunks residents ran without a fork (ChildReuses). */                    \
   X(WarmForks, uint64_t, Sum, "warm_forks", "warm_forks", true)               \
   /* Chunks forked cold from the full parent: every fork on the Pipe          \
      transport, plus Ring-transport fallbacks when the pool was               \
      unavailable. */                                                          \
   X(ColdForks, uint64_t, Sum, "cold_forks", "cold_forks", true)               \
-  /* Chunks dispatched to an already-resident child with no fork at all       \
-     (the fork-free steady state; pipeline engine, Ring transport).           \
-     Counted inside WarmForks: a reuse is the warmest possible path. */       \
+  /* Chunks run by a resident child with no fork at all: every chunk a       \
+     resident claims after its first (the fork-free steady state; pipeline    \
+     engine, Ring transport). Counted inside WarmForks: a reuse is the        \
+     warmest possible path. */                                                \
   X(ChildReuses, uint64_t, Sum, "child_reuses", nullptr, true)                \
+  /* Times a resident child slept on the dispatch queue's futex: nothing      \
+     was open to claim, or it was one chunk ahead of the parent's verdict     \
+     on its previous record. */                                               \
+  X(ClaimSleeps, uint64_t, Sum, "claim_sleeps", nullptr, false)               \
+  /* Times the pipeline engine's parent woke from poll(2) (a batch of         \
+     doorbells, a child exit, or a deadline tick). */                         \
+  X(PollWakes, uint64_t, Sum, "poll_wakes", nullptr, false)                   \
   /* Template retire/respawn cycles: a template the commit stream had         \
      lapped is replaced by a fresh fork of the parent. */                     \
   X(TemplateRefreshes, uint64_t, Sum, "template_refreshes", nullptr, false)   \

@@ -285,15 +285,13 @@ namespace {
 /// A one-shot child (\p Resident false) leaves memory dirty: its address
 /// space is discarded on exit. A resident child restores its snapshot —
 /// memory and arena cursor — so it can run its next chunk whatever the
-/// parent decides about this one.
-std::vector<uint8_t> buildChildCommitMessage(const LoopSpec &Spec,
-                                             const ExecutorConfig &Config,
-                                             TxnContext &Ctx, bool Resident,
-                                             unsigned Worker, int64_t Chunk,
-                                             int64_t FirstIter,
-                                             int64_t LastIter,
-                                             const ArmedFault &Fault,
-                                             MetricsRegistry *Metrics) {
+/// parent decides about this one; \p Allocated then tells whether the
+/// chunk moved the arena cursor before the rollback.
+std::vector<uint8_t> buildChildCommitMessage(
+    const LoopSpec &Spec, const ExecutorConfig &Config, TxnContext &Ctx,
+    bool Resident, unsigned Worker, int64_t Chunk, int64_t FirstIter,
+    int64_t LastIter, const ArmedFault &Fault, MetricsRegistry *Metrics,
+    bool *Allocated = nullptr) {
   if (Fault.Armed && Fault.Kind == FaultKind::ChildCrash)
     ::raise(SIGSEGV); // the injected "buggy chunk" dies before any work
 
@@ -303,6 +301,8 @@ std::vector<uint8_t> buildChildCommitMessage(const LoopSpec &Spec,
                  static_cast<uint64_t>(FirstIter),
                  static_cast<uint64_t>(LastIter));
 
+  const size_t BumpBefore =
+      Config.Allocator ? Config.Allocator->bumpOffset(Worker) : 0;
   Ctx.beginTxn();
   const uint64_t TraceT0 = Trace.events() ? traceNowNs() : 0;
   const uint64_t T0 = nowNs();
@@ -329,6 +329,9 @@ std::vector<uint8_t> buildChildCommitMessage(const LoopSpec &Spec,
       encodeCommitFrame(Ctx, Config, Worker, Chunk, WorkNs, Trace, Metrics);
   // The frame has recorded the arena cursor; a resident child's own
   // allocations come back to it, if the chunk commits, through the stream.
+  if (Allocated)
+    *Allocated = Config.Allocator &&
+                 Config.Allocator->bumpOffset(Worker) != BumpBefore;
   if (Resident)
     Ctx.abortTxn();
   if (Fault.Armed) {
@@ -469,8 +472,11 @@ std::vector<uint8_t> alter::encodeCommitFrame(TxnContext &Ctx,
 
 void alter::runWireChild(const LoopSpec &Spec, const ExecutorConfig &Config,
                          unsigned Worker, int64_t Chunk, int64_t FirstIter,
-                         int64_t LastIter, int Fd, const ArmedFault &Fault) {
+                         int64_t LastIter, int Fd, const ArmedFault &Fault,
+                         uint64_t BumpFloor) {
   markForkedChild();
+  if (Config.Allocator)
+    Config.Allocator->advanceBump(Worker, static_cast<size_t>(BumpFloor));
   MetricsRegistry Reg;
   TxnContext Ctx(ContextMode::Transactional, &Config.Params, &Spec,
                  Config.Allocator, Worker, Config.Limits);
@@ -482,96 +488,144 @@ void alter::runWireChild(const LoopSpec &Spec, const ExecutorConfig &Config,
   _exit(0);
 }
 
+namespace {
+
+/// Busy-wait hint for the claim loop's short spin.
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Publishes one record into \p Ring. A one-shot child (\p Queue null)
+/// rings a Data bell after every piece that leaves more to push (the
+/// parent keeps draining, so a record larger than the ring cannot
+/// deadlock) and a Finish bell after the last: a record that fits rings
+/// once. A resident rings no pipe at all: it wakes the parent through
+/// \p Queue when the ring is full and once the record is whole. Full-ring
+/// waits are recorded into \p Metrics.
+void publishRecord(CommitRing &Ring, int DoorbellFd, uint8_t Tag,
+                   const std::vector<uint8_t> &Message,
+                   MetricsRegistry *Metrics, DispatchQueue *Queue = nullptr,
+                   unsigned Slot = 0) {
+  const uint64_t PushT0 = Metrics ? nowNs() : 0;
+  uint64_t Backoffs = 0;
+  size_t Off = 0;
+  do {
+    const size_t N = Ring.pushSome(Message.data() + Off, Message.size() - Off);
+    if (N == 0 && Off != Message.size()) {
+      ++Backoffs;
+      if (Queue)
+        Queue->wakeParent();
+      CommitRing::backoff();
+      continue;
+    }
+    Off += N;
+    if (Queue)
+      continue;
+    // A failed doorbell write (parent gone) is unrecoverable but also
+    // unreportable; the template reaps us.
+    const uint8_t Bell =
+        (Off == Message.size() ? RingDoorbellFinish : RingDoorbellData) |
+        (Tag & RingDoorbellTagMask);
+    (void)writeFull(DoorbellFd, &Bell, 1);
+  } while (Off != Message.size());
+  if (Queue)
+    Queue->published(Slot);
+  if (Metrics && Backoffs != 0) {
+    // Only backpressured publishes count: an uncontended memcpy is not a
+    // wait, so the histogram measures full-ring stalls, not throughput.
+    Metrics->record(HistogramId::RingBackpressureNs, nowNs() - PushT0);
+    Metrics->addCounter(CounterId::RingWaits, Backoffs);
+  }
+}
+
+} // namespace
+
 void alter::runWireChildRing(const LoopSpec &Spec,
                              const ExecutorConfig &Config, unsigned Worker,
                              int64_t Chunk, int64_t FirstIter,
                              int64_t LastIter, CommitRing &Ring,
-                             int DoorbellFd, uint8_t DoorbellTag, int WorkFd,
-                             const CommitStream &Stream,
-                             CommitStream::Cursor Cursor,
+                             int DoorbellFd, uint8_t DoorbellTag,
                              const ArmedFault &Fault) {
   markForkedChild();
-  const auto RingBell = [&](uint8_t Kind) {
-    // A failed doorbell write (parent gone) is unrecoverable but also
-    // unreportable; the template reaps us and the parent sees the frame.
-    const uint8_t Bell = Kind | (DoorbellTag & RingDoorbellTagMask);
-    (void)writeFull(DoorbellFd, &Bell, 1);
-  };
-
-  // Resident-child registry: survives across redispatches, but each
-  // encodeCommitFrame takes-and-resets it, so chunk N's frame carries the
-  // waits recorded since chunk N-1's frame (the final chunk's post-frame
-  // waits are lost with the child — documented, and bounded to one chunk).
   MetricsRegistry Reg;
   MetricsRegistry *Metrics = Config.Metrics ? &Reg : nullptr;
   TxnContext Ctx(ContextMode::Transactional, &Config.Params, &Spec,
                  Config.Allocator, Worker, Config.Limits);
-  const bool Resident = WorkFd >= 0;
+  const std::vector<uint8_t> Message =
+      buildChildCommitMessage(Spec, Config, Ctx, /*Resident=*/false, Worker,
+                              Chunk, FirstIter, LastIter, Fault, Metrics);
+  publishRecord(Ring, DoorbellFd, DoorbellTag, Message, Metrics);
+  _exit(0);
+}
 
-  ArmedFault F = Fault;
+void alter::runResidentChild(const LoopSpec &Spec,
+                             const ExecutorConfig &Config, unsigned Slot,
+                             uint8_t Tag, CommitRing &Ring,
+                             DispatchQueue &Queue, const CommitStream &Stream,
+                             CommitStream::Cursor Cursor) {
+  markForkedChild();
+  const unsigned Worker = Slot + 1;
+  // Survives across chunks, but each encodeCommitFrame takes-and-resets
+  // it, so chunk N's frame carries the waits recorded since chunk N-1's
+  // frame (the last chunk's post-frame waits are lost with the child).
+  MetricsRegistry Reg;
+  MetricsRegistry *Metrics = Config.Metrics ? &Reg : nullptr;
+  TxnContext Ctx(ContextMode::Transactional, &Config.Params, &Spec,
+                 Config.Allocator, Worker, Config.Limits);
+  // Records pushed so far, and whether the last one moved the arena
+  // cursor: such a chunk holds our next claim until the parent has decided
+  // it, so no later chunk of ours reuses its arena bytes while it may still
+  // commit (PAPER.md §4.1: concurrent processes never share an address).
+  uint64_t Pushed = 0;
+  bool HoldArena = false;
   for (;;) {
-    const std::vector<uint8_t> Message = buildChildCommitMessage(
-        Spec, Config, Ctx, Resident, Worker, Chunk, FirstIter, LastIter, F,
-        Metrics);
-    // Publish through shared memory; the doorbell after every accepted
-    // piece keeps the parent draining, so a message larger than the ring
-    // makes progress under backpressure instead of deadlocking.
-    const uint64_t PushT0 = Metrics ? nowNs() : 0;
-    uint64_t Backoffs = 0;
-    Ring.pushAll(Message.data(), Message.size(),
-                 [&] { RingBell(RingDoorbellData); }, [&] { ++Backoffs; });
-    if (Metrics && Backoffs != 0) {
-      // Only backpressured publishes count: an uncontended memcpy is not a
-      // wait, so the histogram measures full-ring stalls, not throughput.
-      Metrics->record(HistogramId::RingBackpressureNs, nowNs() - PushT0);
-      Metrics->addCounter(CounterId::RingWaits, Backoffs);
-    }
-    // Finish marks the record complete even when an injected truncation
-    // keeps the frame from looking whole — and it is this chunk's LAST
-    // doorbell, the invariant that lets the parent redispatch us under
-    // the same attempt tag with no stale bytes in flight.
-    RingBell(RingDoorbellFinish);
     const uint64_t WaitT0 = Metrics ? nowNs() : 0;
-    if (!Resident)
-      _exit(0);
-    // Fork-free steady state: our memory is back at our snapshot, so we
-    // can take any next chunk once we replay the commits since then.
-    WireNextCmd Cmd;
-    for (;;) {
-      uint8_t *P = reinterpret_cast<uint8_t *>(&Cmd);
-      size_t Need = sizeof(Cmd);
-      while (Need != 0) {
-        const ssize_t N = ::read(WorkFd, P, Need);
-        if (N < 0 && errno == EINTR)
-          continue;
-        if (N <= 0)
-          _exit(0); // EOF (pool teardown) or a hard error: we are done
-        P += N;
-        Need -= static_cast<size_t>(N);
+    uint64_t Index = 0;
+    for (unsigned Spins = 0;; ++Spins) {
+      const uint32_t Gen = Queue.generation();
+      // At most one of our records may await the parent's verdict while
+      // we run the next chunk: the bound keeps snapshots from going stale
+      // on loops where the parent is the bottleneck.
+      const bool Gate = HoldArena ? Queue.settled(Slot) == Pushed
+                                  : Pushed - Queue.taken(Slot) <= 1;
+      if (Gate) {
+        // Catch up before claiming: a replica the stream has lapped bows
+        // out holding no chunk, and the pool replaces it.
+        if (catchUpCommits(Stream, Cursor, Queue.commitSeq(), Spec, Config) !=
+            CommitStream::ReadResult::Ok)
+          _exit(StreamOverrunExitStatus);
+        if (Queue.claim(Slot, Tag, Index))
+          break;
       }
-      // A command addressed to a dead predecessor (it died between the
-      // parent's dispatch write and its read) is stale: running it would
-      // re-execute a chunk the parent already completed via re-fork.
-      if ((Cmd.Tag & RingDoorbellTagMask) ==
-          (DoorbellTag & RingDoorbellTagMask))
-        break;
+      if (Spins < 64) {
+        cpuRelax();
+        continue;
+      }
+      Queue.sleep(Gen);
     }
-    // Finish-to-redispatch latency: the parent's validate + commit + next
-    // dispatch, as seen from the resident child. Recorded now, shipped in
-    // the NEXT chunk's frame (take-and-reset above).
     if (Metrics)
       Metrics->record(HistogramId::ValidateWaitNs, nowNs() - WaitT0);
-    // The new chunk's snapshot is committed state as of Cmd.Seq. A lapped
-    // or undecodable replay leaves memory that is neither; exiting hands
-    // the chunk back to the parent as a contained crash, and the slot
-    // re-forks from the template.
-    if (catchUpCommits(Stream, Cursor, Cmd.Seq, Spec, Config) !=
+    // The snapshot is read after the claim, so it is never older than the
+    // commit sequence the parent published the entry at — the bound its
+    // epoch pruning relies on. A lapped replay hands the claimed chunk back
+    // through the template's reap.
+    const uint64_t Seq = Queue.commitSeq();
+    if (catchUpCommits(Stream, Cursor, Seq, Spec, Config) !=
         CommitStream::ReadResult::Ok)
       _exit(StreamOverrunExitStatus);
-    Chunk = Cmd.Chunk;
-    FirstIter = Cmd.First;
-    LastIter = Cmd.Last;
-    F = Cmd.Fault;
+    DispatchQueue::Entry &E = Queue.entry(Index);
+    E.SnapshotSeq.store(Seq, std::memory_order_relaxed);
+    const std::vector<uint8_t> Message =
+        buildChildCommitMessage(Spec, Config, Ctx, /*Resident=*/true, Worker,
+                                E.Chunk, E.First, E.Last, E.Fault, Metrics,
+                                &HoldArena);
+    publishRecord(Ring, /*DoorbellFd=*/-1, Tag, Message, Metrics, &Queue,
+                  Slot);
+    ++Pushed;
   }
 }
 
@@ -655,16 +709,22 @@ CommitStream::ReadResult alter::catchUpCommits(const CommitStream &Stream,
   return CommitStream::ReadResult::Ok;
 }
 
-bool alter::wireFrameLooksComplete(const uint8_t *Bytes, size_t Size) {
+size_t alter::wireFrameBytes(const uint8_t *Bytes, size_t Size) {
   if (Size < FrameHeaderBytes)
-    return false;
+    return 0;
   uint64_t Magic, PayloadLen;
   std::memcpy(&Magic, Bytes, sizeof(Magic));
   if (Magic != MessageMagic)
-    return true; // corrupt header: length untrustworthy, let decode reject
+    return Size; // corrupt header: length untrustworthy, let decode reject
   std::memcpy(&PayloadLen, Bytes + sizeof(uint64_t), sizeof(PayloadLen));
   // Overflow-safe: compare payload bytes present, not header + length.
-  return Size - FrameHeaderBytes >= PayloadLen;
+  if (Size - FrameHeaderBytes < PayloadLen)
+    return 0;
+  return FrameHeaderBytes + static_cast<size_t>(PayloadLen);
+}
+
+bool alter::wireFrameLooksComplete(const uint8_t *Bytes, size_t Size) {
+  return wireFrameBytes(Bytes, Size) != 0;
 }
 
 bool alter::decodeChildReport(const std::vector<uint8_t> &Bytes,

@@ -101,67 +101,54 @@ struct ChildReport {
 /// commit message to \p Fd, and _exit()s. Never returns. Applies \p Fault
 /// (taken from the FaultPlan by the parent at fork time) when armed. At
 /// TraceLevel::Events the message carries the chunk's lifecycle events in
-/// its TRACE section.
+/// its TRACE section. Worker's arena cursor first advances to
+/// \p BumpFloor, past the allocations of the slot's reports that still
+/// await in-order retirement.
 [[noreturn]] void runWireChild(const LoopSpec &Spec,
                                const ExecutorConfig &Config, unsigned Worker,
                                int64_t Chunk, int64_t FirstIter,
                                int64_t LastIter, int Fd,
-                               const ArmedFault &Fault = ArmedFault());
-
-/// One redispatch command on a slot's work pipe (parent -> resident
-/// child): replay the commit stream through sequence number \p Seq, then
-/// run this chunk. Raw little-endian struct — parent and child are forks
-/// of one process, so layouts agree by construction.
-struct WireNextCmd {
-  int64_t Chunk;
-  int64_t First;
-  int64_t Last;
-  ArmedFault Fault;
-  /// Commit-stream sequence number the child must catch up to first: the
-  /// parent's commit count at dispatch, i.e. the chunk's SnapshotSeq.
-  uint64_t Seq;
-  /// Attempt tag of the child this command is addressed to. If the target
-  /// dies between the parent's dispatch write and its work-pipe read (the
-  /// parent holds the read end, so the pipe — and the command — survive),
-  /// the slot's NEXT resident child would otherwise consume the stale
-  /// command after its own chunk and execute that chunk a second time,
-  /// corrupting the ring/doorbell stream under its own tag. Children drop
-  /// commands whose tag is not theirs.
-  uint8_t Tag;
-};
+                               const ArmedFault &Fault = ArmedFault(),
+                               uint64_t BumpFloor = 0);
 
 /// Exit status of a replica (resident child or warm template) that found
 /// itself lapped by the commit stream: its memory can no longer be brought
 /// to committed state, so it bows out and is replaced by a fresh fork.
 constexpr int StreamOverrunExitStatus = 14;
 
-/// Ring-transport variant of runWireChild, run by the warm template's
-/// forked children (WorkerPool): same transactional execution and frame,
-/// but the message is published into \p Ring (shared with the parent)
-/// instead of a pipe, with a (RingDoorbellData | \p DoorbellTag) byte
-/// written to \p DoorbellFd after every accepted piece so the parent's
-/// poll loop wakes to drain, and a RingDoorbellFinish byte once the record
-/// is fully published.
-///
-/// With \p WorkFd >= 0 the child is a resident replica of committed state
-/// (the fork-free steady state): it keeps one TxnContext, ends every chunk
-/// with suspendTxn() and an arena rollback, so its memory returns to its
-/// snapshot whether the chunk later commits or aborts, then blocks on
-/// \p WorkFd for a WireNextCmd. Before running that chunk it replays
-/// \p Stream from \p Cursor (its snapshot: the template's cursor at the
-/// fork) through the command's Seq; a lapped replay exits with
-/// StreamOverrunExitStatus. EOF or a short read on \p WorkFd exits
-/// cleanly. With \p WorkFd < 0 the child exits after one chunk. Never
-/// returns.
+/// Ring-transport variant of runWireChild for a one-shot child of the warm
+/// template (the round-barrier engine): same transactional execution and
+/// frame, but the message is published into \p Ring (shared with the
+/// parent) instead of a pipe, ringing (RingDoorbellData | \p DoorbellTag)
+/// on \p DoorbellFd after every piece that leaves more to push and
+/// RingDoorbellFinish after the last, then exits. Never returns.
 [[noreturn]] void runWireChildRing(const LoopSpec &Spec,
                                    const ExecutorConfig &Config,
                                    unsigned Worker, int64_t Chunk,
                                    int64_t FirstIter, int64_t LastIter,
                                    CommitRing &Ring, int DoorbellFd,
-                                   uint8_t DoorbellTag, int WorkFd,
-                                   const CommitStream &Stream,
-                                   CommitStream::Cursor Cursor,
+                                   uint8_t DoorbellTag,
                                    const ArmedFault &Fault = ArmedFault());
+
+/// A resident child of worker slot \p Slot (the pipeline engine's
+/// fork-free steady state), tagged \p Tag: a replica of committed state
+/// that claims chunks from \p Queue for as long as it lives. For each it
+/// catches up from \p Stream (from \p Cursor, the template's position at
+/// the fork) through the commit sequence it reads after the claim — the
+/// chunk's snapshot, which it stores in the entry — runs the chunk with
+/// its one TxnContext, publishes the frame into \p Ring, counts it in the
+/// queue and wakes the parent (one futex word, no pipe), restores its
+/// snapshot (suspendTxn plus an arena rollback) and claims again. It claims only while at most one of its records awaits
+/// the parent's verdict, and after a chunk that allocated only once the
+/// parent has decided every record it pushed; otherwise, or when nothing
+/// is open, it sleeps on the queue's futex. A lapped replay exits with
+/// StreamOverrunExitStatus. Never returns; the template kills it.
+[[noreturn]] void runResidentChild(const LoopSpec &Spec,
+                                   const ExecutorConfig &Config,
+                                   unsigned Slot, uint8_t Tag,
+                                   CommitRing &Ring, DispatchQueue &Queue,
+                                   const CommitStream &Stream,
+                                   CommitStream::Cursor Cursor);
 
 /// Parent side: appends one validated commit to \p Stream — arena index
 /// \p Worker's cursor, the reduction slots and the write log's compact
@@ -217,6 +204,11 @@ std::vector<uint8_t> encodeCommitFrame(TxnContext &Ctx,
 /// the decode path rejects it either way. Used by the ring transport,
 /// which has no EOF to delimit a record.
 bool wireFrameLooksComplete(const uint8_t *Bytes, size_t Size);
+
+/// Bytes of the first frame in \p Bytes when it is complete (see
+/// wireFrameLooksComplete; a corrupt magic claims all \p Size bytes), else
+/// 0. Splits the records of a ring that carries several back to back.
+size_t wireFrameBytes(const uint8_t *Bytes, size_t Size);
 
 /// Parent side: verifies the frame (magic, length, CRC32) and decodes one
 /// child's message into \p Rep. Returns false — with \p Error describing

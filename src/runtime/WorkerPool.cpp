@@ -39,8 +39,9 @@ namespace {
 /// pointers (reduction Custom ops) and layouts are identical by
 /// construction and need no portable encoding.
 enum : uint8_t {
-  OpFork = 2, ///< catch up, then fork a chunk child for a slot
-  OpKill = 3, ///< SIGKILL + reap a slot's child (acked by a doorbell)
+  OpFork = 2,  ///< catch up, then fork a one-shot chunk child for a slot
+  OpKill = 3,  ///< SIGKILL + reap a slot's child (acked by a doorbell)
+  OpSpawn = 4, ///< catch up, then fork a resident child for a slot
 };
 
 constexpr size_t CmdHeaderBytes = 1 + sizeof(uint64_t);
@@ -58,6 +59,16 @@ struct ForkCmd {
 
 struct KillCmd {
   uint64_t Slot;
+};
+
+struct SpawnCmd {
+  uint64_t Slot;
+  uint64_t Attempt;
+  /// Commit-stream sequence number to replay through before forking.
+  uint64_t Seq;
+  /// Arena cursor the resident starts from at least: past the allocations
+  /// of the slot's reports that still await in-order retirement.
+  uint64_t BumpFloor;
 };
 
 /// The executors and the pool live in processes that write to pipes whose
@@ -124,8 +135,8 @@ void alter::setGlobalTransportKind(TransportKind Kind) {
 //===----------------------------------------------------------------------===
 
 WorkerPool::WorkerPool(const LoopSpec &Spec, const ExecutorConfig &Config,
-                       unsigned NumSlots, bool AllowReuse, RunStats &Stats)
-    : Spec(Spec), Config(Config), AllowReuse(AllowReuse), Stats(Stats),
+                       unsigned NumSlots, bool Residents, RunStats &Stats)
+    : Spec(Spec), Config(Config), Residents(Residents), Stats(Stats),
       Slots(NumSlots), Stream(Config.RingBytesPerSlot) {
   ignoreSigpipeOnce();
   if (!Stream.valid()) {
@@ -133,13 +144,24 @@ WorkerPool::WorkerPool(const LoopSpec &Spec, const ExecutorConfig &Config,
     Invalid = true;
     FailSite = 0;
   }
+  if (Residents) {
+    // Outstanding entries stay below a few per slot (open, claimed and
+    // one ahead), far from wrapping the ring.
+    Queue = std::make_unique<DispatchQueue>(std::max<size_t>(64, 8 * NumSlots),
+                                            NumSlots);
+    if (!Queue->valid()) {
+      if (!Invalid)
+        FailSite = 0;
+      Invalid = true;
+    }
+  }
   for (unsigned SlotIdx = 0; SlotIdx != Slots.size(); ++SlotIdx) {
     SlotState &S = Slots[SlotIdx];
     // Resource exhaustion here (ENOMEM on the ring mapping, EMFILE/ENFILE
-    // on either pipe) is a contained per-run outcome, not a crash: the
-    // pool comes up with valid() == false and the engine that built it
-    // drops to the cold pipe transport. Injected setup faults (mmapfail@N
-    // / pipeexhaust@N, N = slot index) strike the same paths.
+    // on the pipe) is a contained per-run outcome, not a crash: the pool
+    // comes up with valid() == false and the engine that built it drops to
+    // the cold pipe transport. Injected setup faults (mmapfail@N /
+    // pipeexhaust@N, N = slot index) strike the same paths.
     const bool InjectMmap =
         FaultPlan::global().takeSetup(FaultKind::MmapFail, SlotIdx).Armed;
     S.Ring = std::make_unique<CommitRing>(Config.RingBytesPerSlot);
@@ -169,20 +191,6 @@ WorkerPool::WorkerPool(const LoopSpec &Spec, const ExecutorConfig &Config,
     // The parent drains doorbells opportunistically from its poll loop.
     const int Flags = ::fcntl(S.DoorbellR, F_GETFL);
     ::fcntl(S.DoorbellR, F_SETFL, Flags | O_NONBLOCK);
-    // Work pipe: the parent keeps BOTH ends — the write end to dispatch,
-    // the read end so a respawned template (forked from the parent later)
-    // still inherits it for its children. A WireNextCmd is far below
-    // PIPE_BUF, so dispatch writes never block or interleave.
-    if (::pipe(Fds) != 0) {
-      alterLogAlways(LogLevel::Warn, "pool",
-                     "event=work_pipe_fail slot=%u errno=%d", SlotIdx, errno);
-      if (!Invalid)
-        FailSite = 1;
-      Invalid = true;
-      continue;
-    }
-    S.WorkR = Fds[0];
-    S.WorkW = Fds[1];
   }
 }
 
@@ -193,10 +201,6 @@ WorkerPool::~WorkerPool() {
       ::close(S.DoorbellR);
     if (S.DoorbellW >= 0)
       ::close(S.DoorbellW);
-    if (S.WorkR >= 0)
-      ::close(S.WorkR);
-    if (S.WorkW >= 0)
-      ::close(S.WorkW);
   }
 }
 
@@ -204,9 +208,10 @@ bool WorkerPool::anyInFlight() const {
   // A slot whose record arrived whole is not in flight even before the
   // template confirms the reap: its producer has nothing left to publish,
   // and the OpFork path kills and reaps any technically-live predecessor
-  // before the successor runs.
+  // before the successor runs. A resident is in flight while it holds an
+  // unreported claim.
   for (const SlotState &S : Slots)
-    if (S.Used && !S.TerminalSeen && !S.RecordDone)
+    if ((S.Used && !S.TerminalSeen && !S.RecordDone) || !S.Claims.empty())
       return true;
   return false;
 }
@@ -215,6 +220,7 @@ bool WorkerPool::sendCommand(uint8_t Op, const void *Payload, size_t Size) {
   if (ControlFd < 0)
     return false;
   uint8_t Cmd[CmdHeaderBytes + sizeof(ForkCmd)];
+  static_assert(sizeof(SpawnCmd) <= sizeof(ForkCmd), "commands fit Cmd");
   assert(Size <= sizeof(ForkCmd) && "control commands are small structs");
   const uint64_t PayloadLen = Size;
   Cmd[0] = Op;
@@ -241,47 +247,27 @@ void WorkerPool::killTemplateHard() {
     ::close(ControlFd);
   ControlFd = -1;
   TemplatePid = -1;
-  // The template's in-flight children died with it (PDEATHSIG) and nothing
-  // is left to reap them, so their terminal doorbells would never ring and
-  // the executor would wait on those channels forever. Ring them on the
-  // dead template's behalf: the executor completes the chunks as abnormal
-  // and requeues them. (Without PDEATHSIG an orphan may still publish a
-  // whole record; the abnormal completion discards it and the retry is
-  // merely redundant, never a duplicate commit.)
+  // The template's children died with it (PDEATHSIG) and nothing is left
+  // to reap them, so their terminal doorbells would never ring. Complete
+  // them on the dead template's behalf: a one-shot slot gets its abnormal
+  // doorbell and the executor requeues the chunk; a resident's claims are
+  // reported Lost. (Without PDEATHSIG an orphan may still publish a whole
+  // record; it is discarded and the retry is merely redundant, never a
+  // duplicate commit.)
+  loseAllResidents();
   for (SlotState &S : Slots) {
     if (S.Used && !S.TerminalSeen)
       writeDoorbell(S.DoorbellW,
                     static_cast<uint8_t>(RingDoorbellAbnormal |
                                          (S.Attempt & RingDoorbellTagMask)));
     resetSlot(S);
-    // Retire the slot's work pipe and ring along with the template. The
-    // PDEATHSIG'd residents cannot be reaped (their parent of record just
-    // died), so each may linger on the run queue with SIGKILL pending —
-    // and a pipe read copies queued data out BEFORE the fatal signal is
-    // checked, so a doomed resident that finally gets scheduled can
-    // consume a redispatch command addressed to its successor and take it
-    // to the grave (the successor then waits forever). A fresh pipe is
-    // unreachable from the old lineage: only children of the NEXT
-    // template (forked from the parent after this point) inherit it.
-    // Ditto the ring: a resident killed mid-publish may still push a few
-    // bytes after the parent's discard-drain, interleaving garbage into
-    // the next attempt's stream. The doorbell pipe stays — stale bells
-    // carry the old attempt tag and are filtered, and the executor's
-    // polled fds must remain valid across the respawn.
-    if (S.WorkR >= 0)
-      ::close(S.WorkR);
-    if (S.WorkW >= 0)
-      ::close(S.WorkW);
-    int Fds[2];
-    if (::pipe(Fds) == 0) {
-      S.WorkR = Fds[0];
-      S.WorkW = Fds[1];
-    } else {
-      // Degrade: dispatch writes fail, so warm forks fall back to
-      // one-shot children (WorkFd -1) and reuse simply stops.
-      S.WorkR = -1;
-      S.WorkW = -1;
-    }
+    // Retire the slot's ring with the template: a child killed
+    // mid-publish may still push a few bytes after the parent's drain,
+    // interleaving garbage into the next attempt's records. Only children
+    // of the NEXT template (forked from the parent after this point) map
+    // the fresh ring. The doorbell pipe stays — stale bells carry the old
+    // attempt tag and are filtered, and the executor's polled fds must
+    // remain valid across the respawn.
     S.Ring = std::make_unique<CommitRing>(Config.RingBytesPerSlot);
     if (!S.Ring->valid()) {
       // The replacement mapping failed (ENOMEM while already degraded):
@@ -312,8 +298,6 @@ void WorkerPool::resetSlot(SlotState &S) {
   S.Used = false;
   S.TerminalSeen = true;
   S.RecordDone = true;
-  S.FinishSeen = false;
-  S.Discard = false;
 }
 
 bool WorkerPool::ensureTemplate() {
@@ -332,15 +316,10 @@ bool WorkerPool::ensureTemplate() {
   }
   if (Pid == 0) {
     ::close(Fds[1]);
-    // Parent-only descriptors: the doorbell read ends and the work-pipe
-    // write ends (children must see work-pipe EOF semantics driven by the
-    // parent alone).
-    for (SlotState &S : Slots) {
+    // Parent-only descriptors: the doorbell read ends.
+    for (SlotState &S : Slots)
       if (S.DoorbellR >= 0)
         ::close(S.DoorbellR);
-      if (S.WorkW >= 0)
-        ::close(S.WorkW);
-    }
     templateMain(Fds[0]);
     // templateMain never returns.
   }
@@ -366,8 +345,8 @@ void WorkerPool::retireTemplate() {
   if (waitpidRusage(TemplatePid, &Status, &Usage) > 0)
     accumulateTemplateUsage(Usage);
   TemplatePid = -1;
-  // Resident (reuse-idle) children died in the teardown; forget them so
-  // no redispatch targets a dead process.
+  // Every child died in the teardown.
+  loseAllResidents();
   for (SlotState &S : Slots)
     resetSlot(S);
 }
@@ -375,6 +354,7 @@ void WorkerPool::retireTemplate() {
 bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
                           int64_t Last, const ArmedFault &Fault,
                           ChunkChannel &Ch) {
+  assert(!Residents && "resident pools run chunks through the queue");
   if (Invalid) {
     // A ring or pipe never came up (or died in a hard retirement): every
     // fork degrades to the cold path until the engine drops the pool.
@@ -419,7 +399,7 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
           break;
         for (ssize_t I = 0; I != R; ++I)
           if ((Bells[I] & RingDoorbellTagMask) == S.Attempt &&
-              (Bells[I] & RingDoorbellKindMask) != RingDoorbellData)
+              (Bells[I] & RingDoorbellKindMask) >= RingDoorbellClean)
             S.TerminalSeen = true;
       }
       if (!S.TerminalSeen && nowNs() > Deadline) {
@@ -431,90 +411,12 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
     }
   }
 
-  // Fork-free steady state: the slot's previous child rang Finish (so it
-  // is resident, idle, back at its snapshot, and will never ring another
-  // byte for the old chunk), no terminal doorbell arrived (so it was not
-  // reaped dead), the parent did not reject its last record, and the
-  // stream still holds every commit it must replay. Hand it the next chunk
-  // with one small write — no fork by the parent, the template, or anyone
-  // else — whether its previous chunk committed, aborted or is still
-  // parked: it catches up to the commits pushed so far before running.
-  // FinishSeen is the race gate: it proves the old chunk's last doorbell
-  // was already consumed, which is what makes redispatch under the SAME
-  // attempt tag safe (and keeping the tag keeps the template's pid/tag
-  // bookkeeping valid for kills and crash reaps).
-  if (AllowReuse && S.Used && !S.TerminalSeen && !S.Discard &&
-      Stream.holds(S.Cursor)) {
-    // Consume any doorbells still queued: the Finish byte itself, when
-    // the record was completed by frame inspection before the pipe was
-    // drained, and any terminal that raced in (a crash terminal means
-    // the resident child died after publishing: fall through and
-    // re-fork). The wait is not optional politeness — the parent often
-    // completes the record off the Data bell a beat BEFORE the child
-    // writes Finish (push then bell are two syscalls), and giving up
-    // here would forfeit nearly every redispatch to that sliver. With
-    // the gate otherwise satisfied a decisive bell is guaranteed in
-    // flight: the child rings Finish right after its final push, and if
-    // it died first the template's reap sweep rings a terminal instead.
-    // The deadline is a liveness backstop (wedged template, stalled
-    // child) that degrades to the fork path, never a hang.
-    const uint64_t BellDeadline = nowNs() + 1'000'000'000ULL;
-    for (;;) {
-      uint8_t Bells[64];
-      for (;;) {
-        const ssize_t R = ::read(S.DoorbellR, Bells, sizeof(Bells));
-        if (R < 0 && errno == EINTR)
-          continue;
-        if (R <= 0)
-          break;
-        for (ssize_t I = 0; I != R; ++I) {
-          if ((Bells[I] & RingDoorbellTagMask) != S.Attempt)
-            continue;
-          const uint8_t Kind = Bells[I] & RingDoorbellKindMask;
-          if (Kind == RingDoorbellFinish)
-            S.FinishSeen = true;
-          else if (Kind >= RingDoorbellClean)
-            S.TerminalSeen = true;
-        }
-      }
-      if (S.FinishSeen || S.TerminalSeen)
-        break;
-      const uint64_t Now = nowNs();
-      if (Now >= BellDeadline)
-        break;
-      pollfd Pfd{S.DoorbellR, POLLIN, 0};
-      const int N = ::poll(&Pfd, 1,
-                           static_cast<int>((BellDeadline - Now) / 1'000'000ULL) + 1);
-      if (N < 0 && errno != EINTR)
-        break;
-      if (N == 0)
-        break; // timeout: one more drain would see nothing new
-    }
-    if (S.FinishSeen && !S.TerminalSeen) {
-      const WireNextCmd Next{Chunk, First, Last, Fault, Stream.end().Seq,
-                             static_cast<uint8_t>(S.Attempt)};
-      if (writeFull(S.WorkW, &Next, sizeof(Next))) {
-        ++Stats.ChildReuses;
-        S.RecordDone = false;
-        S.FinishSeen = false;
-        S.Cursor = Stream.end();
-        Ch = ChunkChannel();
-        Ch.Launched = true;
-        Ch.Warm = true;
-        Ch.Reused = true;
-        Ch.PollFd = S.DoorbellR;
-        return true;
-      }
-      // A failed dispatch write degrades to the fork path below.
-    }
-  }
-
   // A template fork replays the stream from the template's cursor; if the
   // parent has already overwritten part of what it needs, only a fresh
   // template (forked from the parent, hence current) can serve the fork.
-  // Replacing it kills its residents, so wait for a moment with nothing
-  // in flight (the outgoing template has no children left to reap) and
-  // run cold until then.
+  // Replacing it kills its children, so wait for a moment with nothing in
+  // flight (the outgoing template has no children left to reap) and run
+  // cold until then.
   if (!Stream.holds(TemplateCursor)) {
     if (anyInFlight()) {
       ++Stats.PoolFaults;
@@ -530,7 +432,7 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
 
   // The slot is quiet: discard stale doorbells and leftover ring bytes
   // from the previous attempt. (The template's OpFork handler kills and
-  // reaps a resident predecessor before forking the successor.)
+  // reaps a predecessor before forking the successor.)
   {
     uint8_t Bells[64];
     for (;;) {
@@ -553,9 +455,7 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   S.Used = true;
   S.TerminalSeen = false;
   S.RecordDone = false;
-  S.FinishSeen = false;
-  S.Discard = false;
-  S.Cursor = TemplateCursor = Stream.end();
+  TemplateCursor = Stream.end();
   Ch = ChunkChannel();
   Ch.Launched = true;
   Ch.Warm = true;
@@ -563,8 +463,381 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   return true;
 }
 
+//===----------------------------------------------------------------------===
+// WorkerPool: resident children
+//===----------------------------------------------------------------------===
+
+bool WorkerPool::publish(int64_t Chunk, int64_t First, int64_t Last,
+                         const ArmedFault &Fault, uint64_t &Index) {
+  // A ring position is reusable once its entry is neither open nor
+  // claimed-and-unreported: its claimer has read it and moved on.
+  uint64_t Oldest = NextIndex;
+  for (const auto &[I, E] : Entries)
+    if (!E.Reported) {
+      Oldest = I;
+      break;
+    }
+  if (NextIndex - Oldest >= Queue->capacity())
+    return false;
+  Index = NextIndex++;
+  DispatchQueue::Entry &E = Queue->entry(Index);
+  E.Chunk = Chunk;
+  E.First = First;
+  E.Last = Last;
+  E.Fault = Fault;
+  E.SnapshotSeq.store(0, std::memory_order_relaxed);
+  Queue->open(Index);
+  EntryState &St = Entries[Index];
+  St.Chunk = Chunk;
+  Dirty = true;
+  return true;
+}
+
+bool WorkerPool::retract(uint64_t Index) {
+  if (!Queue->retract(Index))
+    return false;
+  Entries.erase(Index);
+  return true;
+}
+
+WorkerPool::ResidentState WorkerPool::ensureResident(unsigned Slot,
+                                                     uint64_t BumpFloor) {
+  SlotState &S = Slots[Slot];
+  if (S.Resident == ResidentState::Live)
+    return S.Resident;
+  if (Invalid || !ensureTemplate()) {
+    ++Stats.PoolFaults;
+    return ResidentState::None;
+  }
+  // A lapped template can only fork replicas that can never reach
+  // committed state. Replacing it kills every resident with it, so do it
+  // only while none holds a claim; until then this slot runs cold.
+  if (!Stream.holds(TemplateCursor)) {
+    if (anyInFlight()) {
+      ++Stats.PoolFaults;
+      return ResidentState::None;
+    }
+    retireTemplate();
+    ++Stats.TemplateRefreshes;
+    if (!ensureTemplate()) {
+      ++Stats.PoolFaults;
+      return ResidentState::None;
+    }
+  }
+  // A retired predecessor is still being killed: its successor is forked
+  // at once (the template kills and reaps the predecessor first) but
+  // fenced — its claim gate stays closed until the predecessor's reap
+  // doorbell proves every byte it pushed is out of the ring. Otherwise
+  // the slot is quiet (its resident was reaped, or died with the old
+  // template): discard stale doorbells and leftover ring bytes now.
+  const bool Fence = S.Resident == ResidentState::Retiring;
+  if (!Fence) {
+    (void)readBells(Slot);
+    std::vector<uint8_t> Discard;
+    S.Ring->drainInto(Discard);
+  }
+  S.FenceTag = S.Attempt;
+  S.Attempt = (S.Attempt + 1) & RingDoorbellTagMask;
+  const SpawnCmd Spawn{Slot, S.Attempt, Stream.end().Seq, BumpFloor};
+  // A new resident starts with no records, hence no verdicts.
+  if (Fence) {
+    Queue->closeSlot(Slot);
+  } else {
+    Queue->resetRecords(Slot);
+    Queue->setVerdicts(Slot, 0, 0);
+  }
+  if (!sendCommand(OpSpawn, &Spawn, sizeof(Spawn)))
+    return ResidentState::None;
+  TemplateCursor = Stream.end();
+  ++Stats.WarmForks;
+  S.Resident = ResidentState::Live;
+  S.Fenced = Fence;
+  S.FenceDown = false;
+  S.Claimed = false;
+  S.Terminal = false;
+  S.Abnormal = false;
+  S.Published = 0;
+  S.Records = 0;
+  S.Buf.clear();
+  S.Claims.clear();
+  S.Taken = 0;
+  S.Settled = 0;
+  S.VerdictsDirty = false;
+  return ResidentState::Live;
+}
+
+int WorkerPool::residentFd(unsigned Slot) const {
+  return Slots[Slot].Resident == ResidentState::None ? -1
+                                                     : Slots[Slot].DoorbellR;
+}
+
+uint8_t WorkerPool::readBells(unsigned Slot) {
+  SlotState &S = Slots[Slot];
+  uint8_t Terminal = 0;
+  uint8_t Bells[256];
+  for (;;) {
+    const ssize_t N = ::read(S.DoorbellR, Bells, sizeof(Bells));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break;
+    Stats.WireBytesCopied += static_cast<uint64_t>(N);
+    for (ssize_t I = 0; I != N; ++I) {
+      const uint8_t Tag = Bells[I] & RingDoorbellTagMask;
+      const uint8_t Kind = Bells[I] & RingDoorbellKindMask;
+      if (S.Fenced && Tag == S.FenceTag && Kind >= RingDoorbellClean)
+        S.FenceDown = true; // the retired predecessor was reaped
+      if (Tag != S.Attempt)
+        continue; // stale: a previous occupant of this slot
+      if (Kind >= RingDoorbellClean)
+        Terminal = Kind;
+    }
+  }
+  return Terminal;
+}
+
+void WorkerPool::scanClaims() {
+  for (auto It = Entries.begin(); It != Entries.end(); ++It) {
+    EntryState &E = It->second;
+    if (!E.Open)
+      continue;
+    const uint64_t Word =
+        Queue->entry(It->first).State.load(std::memory_order_acquire);
+    if (DispatchQueue::status(Word) != DispatchQueue::EntryStatus::Claimed ||
+        DispatchQueue::wordIndex(Word) != It->first)
+      continue;
+    E.Open = false;
+    E.Slot = DispatchQueue::claimSlot(Word);
+    E.Attempt = DispatchQueue::claimTag(Word);
+    ResidentEvent Ev;
+    Ev.Slot = E.Slot;
+    Ev.Index = It->first;
+    Ev.Chunk = E.Chunk;
+    SlotState *S = E.Slot < Slots.size() ? &Slots[E.Slot] : nullptr;
+    if (S && S->Resident == ResidentState::Live && E.Attempt == S->Attempt) {
+      // Claims of one resident are made in ascending index order, and this
+      // scan may see a later one before an earlier one: keep them sorted.
+      S->Claims.insert(
+          std::lower_bound(S->Claims.begin(), S->Claims.end(), It->first),
+          It->first);
+      Ev.K = ResidentEvent::Kind::Claimed;
+      Ev.Reuse = S->Claimed;
+      S->Claimed = true;
+      if (Ev.Reuse) {
+        ++Stats.WarmForks;
+        ++Stats.ChildReuses;
+      }
+    } else {
+      // A claimer the pool already retired (killed, or gone with its
+      // template) grabbed the entry on its way out.
+      Ev.K = ResidentEvent::Kind::Lost;
+      Ev.Fault = Queue->entry(It->first).Fault;
+    }
+    emit(std::move(Ev));
+  }
+  for (auto It = Entries.begin(); It != Entries.end();) {
+    const bool Gone =
+        !It->second.Open &&
+        (It->second.Slot >= Slots.size() ||
+         Slots[It->second.Slot].Resident != ResidentState::Live ||
+         It->second.Attempt != Slots[It->second.Slot].Attempt);
+    It = Gone ? Entries.erase(It) : std::next(It);
+  }
+}
+
+void WorkerPool::loseClaims(unsigned Slot, bool Crashed) {
+  SlotState &S = Slots[Slot];
+  for (const uint64_t Index : S.Claims) {
+    ResidentEvent Ev;
+    Ev.K = ResidentEvent::Kind::Lost;
+    Ev.Slot = Slot;
+    Ev.Index = Index;
+    Ev.Chunk = Queue->entry(Index).Chunk;
+    Ev.Crashed = Crashed;
+    if (!Crashed)
+      Ev.Fault = Queue->entry(Index).Fault;
+    Entries.erase(Index);
+    emit(std::move(Ev));
+  }
+  S.Claims.clear();
+  S.Buf.clear();
+}
+
+void WorkerPool::loseAllResidents() {
+  if (!Residents)
+    return;
+  for (unsigned I = 0; I != Slots.size(); ++I) {
+    if (Slots[I].Resident == ResidentState::None)
+      continue;
+    loseClaims(I, /*Crashed=*/false);
+    Slots[I].Resident = ResidentState::None;
+  }
+}
+
+size_t WorkerPool::collect(const std::vector<bool> &Readable,
+                           const std::function<bool(ResidentEvent &)> &OnEvent) {
+  size_t Delivered = 0;
+  // Doorbells, then ring bytes, then claims: a bell read here vouches for
+  // every record byte its sender published before it, and a record byte
+  // for the claim its sender made before it.
+  for (unsigned I = 0; I != Slots.size(); ++I) {
+    SlotState &S = Slots[I];
+    if (S.Resident == ResidentState::None)
+      continue;
+    const uint8_t Terminal = Readable[I] ? readBells(I) : 0;
+    if (Terminal != 0) {
+      S.Terminal = true;
+      S.Abnormal = Terminal == RingDoorbellAbnormal;
+    }
+    if (!S.Fenced)
+      S.Published = Queue->records(I);
+    S.Ring->drainInto(S.Buf);
+    if (S.Fenced) {
+      // Everything in the ring is the retired predecessor's: the fenced
+      // resident cannot claim, hence cannot publish, until the fence is
+      // down — which happens only after this drain.
+      S.Buf.clear();
+      if (S.FenceDown) {
+        S.Fenced = false;
+        Queue->resetRecords(I);
+        S.VerdictsDirty = true;
+      }
+    }
+  }
+  scanClaims();
+  for (unsigned I = 0; I != Slots.size(); ++I) {
+    SlotState &S = Slots[I];
+    if (S.Resident == ResidentState::Retiring) {
+      S.Buf.clear();
+      if (S.Terminal)
+        S.Resident = ResidentState::None;
+      continue;
+    }
+    if (S.Resident != ResidentState::Live)
+      continue;
+    size_t Pos = 0;
+    bool Rejected = false;
+    while (!Rejected) {
+      // Split one record off the ring bytes: a whole frame, or — once the
+      // resident has counted it published — whatever a truncated record
+      // left.
+      const uint8_t *Data = S.Buf.data() + Pos;
+      const size_t Avail = S.Buf.size() - Pos;
+      size_t Len = wireFrameBytes(Data, Avail);
+      if (Len == 0 && S.Published > S.Records && Avail != 0)
+        Len = Avail;
+      if (Len == 0)
+        break;
+      ++S.Records;
+      if (S.Claims.empty()) {
+        // A record with no claim to match: nothing after it can be
+        // trusted either.
+        Rejected = true;
+        break;
+      }
+      ResidentEvent Ev;
+      Ev.K = ResidentEvent::Kind::Report;
+      Ev.Slot = I;
+      Ev.Index = S.Claims.front();
+      S.Claims.pop_front();
+      Entries[Ev.Index].Reported = true;
+      const DispatchQueue::Entry &E = Queue->entry(Ev.Index);
+      Ev.Chunk = E.Chunk;
+      Ev.SnapshotSeq = E.SnapshotSeq.load(std::memory_order_relaxed);
+      Ev.Frame.assign(Data, Data + Len);
+      Pos += Len;
+      emit(std::move(Ev));
+      // Deliver now: the verdict on this record decides whether the
+      // resident's later records still count.
+      for (ResidentEvent &D : Deferred)
+        if (!OnEvent(D) && D.K == ResidentEvent::Kind::Report)
+          Rejected = true;
+      Delivered += Deferred.size();
+      Deferred.clear();
+    }
+    S.Buf.erase(S.Buf.begin(), S.Buf.begin() + static_cast<ptrdiff_t>(Pos));
+    if (Rejected) {
+      // Retire the resident: whatever it published after the bad record is
+      // unframed, so every later claim requeues (uncharged).
+      // Its claim gate closes first, so it takes no more work meanwhile.
+      const KillCmd Kill{I};
+      loseClaims(I, /*Crashed=*/false);
+      if (S.Terminal) {
+        S.Resident = ResidentState::None;
+      } else {
+        Queue->closeSlot(I);
+        S.Resident = ResidentState::Retiring;
+        (void)sendCommand(OpKill, &Kill, sizeof(Kill));
+      }
+      continue;
+    }
+    if (S.Terminal) {
+      // The resident is gone: what it claimed and never reported is lost,
+      // a contained crash when it died abnormally.
+      loseClaims(I, S.Abnormal);
+      S.Resident = ResidentState::None;
+    }
+  }
+  for (ResidentEvent &D : Deferred)
+    OnEvent(D);
+  Delivered += Deferred.size();
+  Deferred.clear();
+  return Delivered;
+}
+
+void WorkerPool::taken(uint64_t Index) {
+  auto It = Entries.find(Index);
+  if (It == Entries.end() || It->second.Taken)
+    return;
+  It->second.Taken = true;
+  SlotState &S = Slots[It->second.Slot];
+  if (S.Resident != ResidentState::Live || S.Attempt != It->second.Attempt)
+    return;
+  ++S.Taken;
+  S.VerdictsDirty = true;
+}
+
+void WorkerPool::settled(uint64_t Index) {
+  auto It = Entries.find(Index);
+  if (It == Entries.end())
+    return;
+  const EntryState E = It->second;
+  Entries.erase(It);
+  SlotState &S = Slots[E.Slot];
+  if (S.Resident != ResidentState::Live || S.Attempt != E.Attempt)
+    return;
+  if (!E.Taken)
+    ++S.Taken;
+  ++S.Settled;
+  S.VerdictsDirty = true;
+}
+
+void WorkerPool::flush() {
+  for (unsigned I = 0; I != Slots.size(); ++I) {
+    SlotState &S = Slots[I];
+    if (!S.VerdictsDirty || S.Fenced)
+      continue;
+    S.VerdictsDirty = false;
+    Queue->setVerdicts(I, S.Taken, S.Settled);
+    Dirty = true;
+  }
+  if (!Dirty)
+    return;
+  Dirty = false;
+  uint64_t ScanFrom = NextIndex;
+  for (const auto &[Index, E] : Entries)
+    if (E.Open) {
+      ScanFrom = Index;
+      break;
+    }
+  Queue->setScanFrom(ScanFrom);
+  Queue->ring();
+}
+
 void WorkerPool::pushCommit(unsigned Worker, const ChildReport &Rep) {
   appendCommitRecord(Stream, Worker, Rep);
+  if (Queue)
+    Queue->setCommitSeq(Stream.end().Seq);
 }
 
 bool WorkerPool::pump(unsigned Slot, ChunkChannel &Ch) {
@@ -586,10 +859,8 @@ bool WorkerPool::pump(unsigned Slot, ChunkChannel &Ch) {
       if (Kind == RingDoorbellData)
         continue; // drained below regardless
       if (Kind == RingDoorbellFinish) {
-        // The child finished publishing and is resident on its work pipe:
-        // the record is final even if an injected truncation keeps the
-        // frame from looking whole — but the child is NOT reaped.
-        S.FinishSeen = true;
+        // The child finished publishing: the record is final even if an
+        // injected truncation keeps the frame from looking whole.
         Final = true;
         continue;
       }
@@ -645,12 +916,23 @@ void WorkerPool::templateMain(int CtlFd) {
   std::vector<pid_t> Child(Slots.size(), -1);
   std::vector<uint8_t> ChildTag(Slots.size(), 0);
 
-  const auto ReapDoorbell = [&](unsigned Slot, int Status) {
-    const bool Clean = WIFEXITED(Status) && WEXITSTATUS(Status) == 0;
+  // A terminal doorbell; the parent of a resident pool may be asleep on
+  // the queue rather than in poll, so wake it too.
+  const auto Terminal = [&](unsigned Slot, uint8_t Kind) {
     writeDoorbell(Slots[Slot].DoorbellW,
-                  static_cast<uint8_t>(
-                      (Clean ? RingDoorbellClean : RingDoorbellAbnormal) |
-                      (ChildTag[Slot] & RingDoorbellTagMask)));
+                  static_cast<uint8_t>(Kind |
+                                       (ChildTag[Slot] & RingDoorbellTagMask)));
+    if (Queue)
+      Queue->wakeParent();
+  };
+
+  const auto ReapDoorbell = [&](unsigned Slot, int Status) {
+    // A resident the stream lapped bows out cleanly: it holds no chunk, or
+    // one it never ran, which the parent requeues uncharged.
+    const bool Clean = WIFEXITED(Status) &&
+                       (WEXITSTATUS(Status) == 0 ||
+                        WEXITSTATUS(Status) == StreamOverrunExitStatus);
+    Terminal(Slot, Clean ? RingDoorbellClean : RingDoorbellAbnormal);
   };
 
   const auto ReapSweep = [&] {
@@ -677,10 +959,54 @@ void WorkerPool::templateMain(int CtlFd) {
       ReapDoorbell(Slot, Status);
   };
 
+  // Every child is killed before any is reaped, so their exits run in
+  // parallel.
   const auto Shutdown = [&] {
+    for (const pid_t P : Child)
+      if (P >= 0)
+        ::kill(P, SIGKILL);
     for (unsigned I = 0; I != Child.size(); ++I)
       KillReap(I, /*Doorbell=*/false);
     _exit(0);
+  };
+
+  // Lapped (the parent's check raced a burst of commits), we can never
+  // bring our memory to a fork's snapshot: fail the slot's launch like a
+  // failed fork, then die so the parent's liveness poll replaces us with a
+  // template forked from itself.
+  const auto Lapped = [&](unsigned Slot) {
+    Terminal(Slot, RingDoorbellAbnormal);
+    for (unsigned I = 0; I != Child.size(); ++I)
+      KillReap(I, /*Doorbell=*/false);
+    _exit(StreamOverrunExitStatus);
+  };
+
+  // Forks the slot's child; returns 0 in the child, with only the slot's
+  // own doorbell left open, and the pid (or -1 after ringing the abnormal
+  // doorbell, so the parent requeues instead of waiting) in the template.
+  const auto ForkChild = [&](unsigned Slot) -> pid_t {
+    const pid_t Pid = ::fork();
+    if (Pid < 0) {
+      Terminal(Slot, RingDoorbellAbnormal);
+      return -1;
+    }
+    if (Pid != 0)
+      return Pid;
+    ::close(CtlFd);
+#ifdef __linux__
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+#endif
+    // PDEATHSIG only fires on a FUTURE death of the parent: if the
+    // template was killed (poison, hard retirement) between fork() and the
+    // prctl above, no signal will ever come and we are already reparented.
+    // Running on would make us a ghost producer on the slot's ring and a
+    // ghost claimer on the queue. Detect the reparenting and bow out.
+    if (::getppid() != TmplPid)
+      _exit(0);
+    for (unsigned I = 0; I != Slots.size(); ++I)
+      if (I != Slot && Slots[I].DoorbellW >= 0)
+        ::close(Slots[I].DoorbellW);
+    return 0;
   };
 
   std::vector<uint8_t> Buf;
@@ -725,62 +1051,41 @@ void WorkerPool::templateMain(int CtlFd) {
         const unsigned Slot = static_cast<unsigned>(Fork.Slot);
         if (Slot >= Slots.size())
           _exit(13);
-        // The slot's previous child — a resident the parent chose not to
-        // redispatch, or a straggler — must die before its successor runs.
+        // The slot's previous child, a straggler, must die before its
+        // successor runs. Then bring our memory to the fork's snapshot.
         KillReap(Slot, /*Doorbell=*/false);
         ChildTag[Slot] = static_cast<uint8_t>(Fork.Attempt);
-        // Bring our memory to the fork's snapshot. Lapped (the parent's
-        // check raced a burst of commits) we can never get there: fail
-        // this chunk like a failed fork, then die so the parent's
-        // liveness poll replaces us with a template forked from itself.
         if (catchUpCommits(Stream, Cur, Fork.Seq, Spec, Config) !=
-            CommitStream::ReadResult::Ok) {
-          writeDoorbell(Slots[Slot].DoorbellW,
-                        static_cast<uint8_t>(RingDoorbellAbnormal |
-                                             (ChildTag[Slot] &
-                                              RingDoorbellTagMask)));
-          for (unsigned I = 0; I != Child.size(); ++I)
-            KillReap(I, /*Doorbell=*/false);
-          _exit(StreamOverrunExitStatus);
-        }
-        const pid_t Pid = ::fork();
-        if (Pid < 0) {
-          // Can't run the chunk: report an abnormal completion so the
-          // parent requeues it instead of waiting forever.
-          writeDoorbell(Slots[Slot].DoorbellW,
-                        static_cast<uint8_t>(RingDoorbellAbnormal |
-                                             (ChildTag[Slot] &
-                                              RingDoorbellTagMask)));
-          continue;
-        }
-        if (Pid == 0) {
-          ::close(CtlFd);
-#ifdef __linux__
-          ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
-          // PDEATHSIG only fires on a FUTURE death of the parent: if the
-          // template was killed (poison, hard retirement) between fork()
-          // and the prctl above, no signal will ever come and we are
-          // already reparented. Running on would make us a ghost producer
-          // on the slot's ring and — worse — a second resident reader on
-          // its work pipe, stealing redispatch commands addressed to our
-          // legitimate successor. Detect the reparenting and bow out.
-          if (::getppid() != TmplPid)
-            _exit(0);
-          for (unsigned I = 0; I != Slots.size(); ++I)
-            if (I != Slot) {
-              if (Slots[I].DoorbellW >= 0)
-                ::close(Slots[I].DoorbellW);
-              if (Slots[I].WorkR >= 0)
-                ::close(Slots[I].WorkR);
-            }
+            CommitStream::ReadResult::Ok)
+          Lapped(Slot);
+        const pid_t Pid = ForkChild(Slot);
+        if (Pid == 0)
           runWireChildRing(Spec, Config, /*Worker=*/Slot + 1, Fork.Chunk,
                            Fork.First, Fork.Last, *Slots[Slot].Ring,
                            Slots[Slot].DoorbellW,
-                           static_cast<uint8_t>(Fork.Attempt),
-                           AllowReuse ? Slots[Slot].WorkR : -1, Stream, Cur,
-                           Fork.Fault);
-          // runWireChildRing never returns.
+                           static_cast<uint8_t>(Fork.Attempt), Fork.Fault);
+        Child[Slot] = Pid;
+      } else if (Op == OpSpawn) {
+        SpawnCmd Spawn;
+        if (PayloadLen != sizeof(Spawn))
+          _exit(13);
+        std::memcpy(&Spawn, Payload, sizeof(Spawn));
+        const unsigned Slot = static_cast<unsigned>(Spawn.Slot);
+        if (Slot >= Slots.size() || !Queue)
+          _exit(13);
+        KillReap(Slot, /*Doorbell=*/false);
+        ChildTag[Slot] = static_cast<uint8_t>(Spawn.Attempt);
+        if (catchUpCommits(Stream, Cur, Spawn.Seq, Spec, Config) !=
+            CommitStream::ReadResult::Ok)
+          Lapped(Slot);
+        const pid_t Pid = ForkChild(Slot);
+        if (Pid == 0) {
+          if (Config.Allocator)
+            Config.Allocator->advanceBump(Slot + 1,
+                                          static_cast<size_t>(Spawn.BumpFloor));
+          runResidentChild(Spec, Config, Slot,
+                           static_cast<uint8_t>(Spawn.Attempt),
+                           *Slots[Slot].Ring, *Queue, Stream, Cur);
         }
         Child[Slot] = Pid;
       } else if (Op == OpKill) {
@@ -811,7 +1116,7 @@ bool alter::spawnChunkChild(const LoopSpec &Spec,
                             unsigned Slot, int64_t Chunk, int64_t First,
                             int64_t Last, const ArmedFault &Fault,
                             const std::vector<int> &CloseInChild,
-                            ChunkChannel &Ch) {
+                            ChunkChannel &Ch, uint64_t BumpFloor) {
   Ch = ChunkChannel();
   ArmedFault ChildFault = Fault;
   bool Poisoned = false;
@@ -845,7 +1150,7 @@ bool alter::spawnChunkChild(const LoopSpec &Spec,
       if (Fd >= 0)
         ::close(Fd);
     runWireChild(Spec, Config, /*Worker=*/Slot + 1, Chunk, First, Last,
-                 Fds[1], ChildFault);
+                 Fds[1], ChildFault, BumpFloor);
     // runWireChild never returns.
   }
   ::close(Fds[1]);
@@ -890,3 +1195,4 @@ void alter::killChunkChild(WorkerPool *Pool, unsigned Slot,
   if (Ch.DirectPid > 0)
     ::kill(Ch.DirectPid, SIGKILL);
 }
+

@@ -34,14 +34,18 @@
 #include "runtime/PipelineExecutor.h"
 #include "runtime/TxnWire.h"
 #include "support/FaultInjection.h"
+#include "support/Timer.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <sys/mman.h>
@@ -719,8 +723,8 @@ TEST_P(PipelineWorkload, ValidatesWhenEveryOtherDispatchForks) {
   // A child killed on every other chunk (one-shot, so each retry runs
   // clean) sends those chunks' slots through a fresh template fork, which
   // first replays the commit stream from the template's last fork, while
-  // the surviving residents replay it before each redispatch: both kinds
-  // of replica must be exactly current at every chunk.
+  // the surviving residents replay it before each chunk they claim: both
+  // kinds of replica must be exactly current at every chunk.
   auto Ref = makeWorkload(GetParam());
   Ref->setUp(0);
   Ref->runSequential();
@@ -830,12 +834,9 @@ TEST(TransportTest, RingCopiesOrdersOfMagnitudeFewerWireBytes) {
 
 TEST(TransportTest, SteadyStateRedispatchesWithoutForking) {
   // The fork-free steady state: once a slot's first warm child is
-  // resident, subsequent chunks are redispatched to it over the work pipe
-  // with no fork at all. One worker makes the schedule deterministic —
-  // every chunk completes AND retires before the next dispatch, so of the
-  // 32 chunks only the first can fork (a sliver of slack covers the
-  // benign race where the Finish doorbell is written a beat after the
-  // parent already read the record out of the ring).
+  // resident, it claims every later chunk itself, with no fork at all. One
+  // worker forks one resident, so of the 32 chunks only the first is not
+  // a reuse (the bound leaves slack).
   std::vector<int64_t> Data;
   const RunResult R =
       runDisjointOnTransport(TransportKind::Ring, Data, /*Workers=*/1);
@@ -982,16 +983,18 @@ void expectWideDisjointOutput(const std::vector<int64_t> &Data,
 TEST(TransportTest, StreamOverrunReplacesResidentsAndTemplate) {
   // A one-page stream cannot hold a single one of these commits (each
   // writes 1000 words), so from the first commit on every replica is
-  // lapped: no resident can be redispatched, and a template fork needs a
-  // fresh template — forked from the parent when nothing is in flight,
-  // a cold fork otherwise. The output must not notice.
+  // lapped: a resident runs at most the chunk it was forked for and one
+  // more claimed on the same snapshot before that commit, and a
+  // replacement needs a fresh template — forked from the parent when no
+  // claim is in flight, a cold fork otherwise. The output must not notice.
   std::vector<int64_t> Data;
   const RunResult R = runWideDisjoint(Data, /*Workers=*/3,
                                       /*WordsPerIter=*/1000,
                                       /*StreamBytes=*/4096);
   ASSERT_TRUE(R.succeeded()) << R.Detail;
   expectWideDisjointOutput(Data, 1000);
-  EXPECT_EQ(R.Stats.ChildReuses, 0u) << "every resident was lapped";
+  EXPECT_LE(R.Stats.ChildReuses, R.Stats.WarmForks - R.Stats.ChildReuses)
+      << "no resident runs a chunk after it was lapped";
   EXPECT_GT(R.Stats.TemplateRefreshes + R.Stats.ColdForks, 0u)
       << "the lapped template must have been replaced or bypassed";
   EXPECT_EQ(R.Stats.NumChildCrashes, 0u)
@@ -1134,8 +1137,8 @@ TEST(TransportTest, AbortedAllocationsAreRolledBackInTheResidentChild) {
 
 TEST(TransportTest, InOrderRedispatchesWhileAChunkIsParked) {
   // Chunk 0 sleeps, so the chunks after it complete first and park for
-  // in-order retirement. With no allocator their slot need not stay
-  // reserved: the resident is redispatched at once and works ahead. The
+  // in-order retirement. With no allocator a parked report does not hold
+  // its resident back: it claims its next chunk at once and works ahead. The
   // later chunks count themselves in shared memory; chunk 0 reads the
   // count when it wakes.
   void *Mem = ::mmap(nullptr, 2 * sizeof(int64_t), PROT_READ | PROT_WRITE,
@@ -1174,6 +1177,301 @@ TEST(TransportTest, InOrderRedispatchesWhileAChunkIsParked) {
   EXPECT_TRUE(std::is_sorted(R.CommitOrder.begin(), R.CommitOrder.end()));
   for (int64_t I = 0; I != N; ++I)
     EXPECT_EQ(Data[static_cast<size_t>(I)], I * 11 + 5);
+}
+
+
+//===----------------------------------------------------------------------===
+// Self-scheduled residents: chunks claimed from the shared dispatch queue
+//===----------------------------------------------------------------------===
+
+/// Live (unreaped) children of this process, per the kernel.
+std::string liveChildren() {
+  std::ifstream In("/proc/self/task/" + std::to_string(::getpid()) +
+                   "/children");
+  std::string Out((std::istreambuf_iterator<char>(In)),
+                  std::istreambuf_iterator<char>());
+  while (!Out.empty() && (Out.back() == ' ' || Out.back() == '\n'))
+    Out.pop_back();
+  return Out;
+}
+
+/// Shared-memory words a test body can write from any forked child.
+class SharedWords {
+public:
+  explicit SharedWords(size_t N) : Bytes(N * sizeof(int64_t)) {
+    void *Mem = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                       MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    Words = Mem == MAP_FAILED ? nullptr : static_cast<int64_t *>(Mem);
+  }
+  ~SharedWords() {
+    if (Words)
+      ::munmap(Words, Bytes);
+  }
+  int64_t *data() const { return Words; }
+
+private:
+  size_t Bytes;
+  int64_t *Words;
+};
+
+TEST(TransportTest, SteadyStateForksOncePerSlotAndCopiesNoPipeBytes) {
+  // No fault, no conflict: every slot forks one resident, which claims
+  // chunk after chunk from the queue. The parent writes nothing to a child
+  // per chunk (there is no command channel left to write), and no record
+  // rings a pipe: residents count records in shared memory and wake the
+  // parent through a futex.
+  std::vector<int64_t> Data;
+  const RunResult R = runDisjointOnTransport(TransportKind::Ring, Data);
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  for (int64_t I = 0; I != 64; ++I)
+    EXPECT_EQ(Data[static_cast<size_t>(I)], I * 5 + 2);
+  EXPECT_EQ(R.Stats.WarmForks - R.Stats.ChildReuses, 4u)
+      << "exactly one fork per slot";
+  EXPECT_EQ(R.Stats.ColdForks, 0u);
+  EXPECT_GE(R.Stats.ChildReuses + 4, R.Stats.NumTransactions)
+      << "every chunk after a resident's first is a reuse";
+  EXPECT_EQ(R.Stats.WireBytesCopied, 0u)
+      << "no doorbell byte, let alone a record, crosses a pipe";
+}
+
+TEST(TransportTest, ChildDeathAfterAClaimRequeuesTheChunk) {
+  // A resident killed after its chunk's work (ChildKill), or before any
+  // work — right after the claim, before its first write (ChildCrash) —
+  // loses nothing: the parent finds the claim in the queue and requeues
+  // the chunk, under either commit order.
+  for (FaultKind Kind : {FaultKind::ChildKill, FaultKind::ChildCrash}) {
+    for (CommitOrderPolicy Order :
+         {CommitOrderPolicy::InOrder, CommitOrderPolicy::OutOfOrder}) {
+      SCOPED_TRACE(std::string(faultKindName(Kind)) + "/" +
+                   commitOrderPolicyName(Order));
+      constexpr int64_t N = 48;
+      std::vector<int64_t> Data(N, -1);
+      LoopSpec Spec;
+      Spec.NumIterations = N;
+      Spec.Body = [&Data](TxnContext &Ctx, int64_t I) {
+        Ctx.store(&Data[static_cast<size_t>(I)], I * 9 + 4);
+      };
+      ExecutorConfig Config;
+      Config.NumWorkers = 3;
+      Config.Params.ChunkFactor = 2;
+      Config.Params.CommitOrder = Order;
+      Config.Transport = TransportKind::Ring;
+      FaultPlan::global().clear();
+      FaultPlan::global().arm(Kind, /*Chunk=*/5, /*Sticky=*/false);
+      const RunResult R = PipelineExecutor(Config).run(Spec);
+      const size_t Pending = FaultPlan::global().pendingCount();
+      FaultPlan::global().clear();
+      ASSERT_TRUE(R.succeeded()) << R.Detail;
+      EXPECT_EQ(Pending, 0u) << "the fault must have struck";
+      EXPECT_EQ(R.Stats.NumChildCrashes, 1u);
+      EXPECT_EQ(R.Stats.NumCommitted, static_cast<uint64_t>(N / 2));
+      for (int64_t I = 0; I != N; ++I)
+        EXPECT_EQ(Data[static_cast<size_t>(I)], I * 9 + 4) << "iteration "
+                                                           << I;
+      if (Order == CommitOrderPolicy::InOrder)
+        EXPECT_TRUE(std::is_sorted(R.CommitOrder.begin(), R.CommitOrder.end()));
+      EXPECT_EQ(liveChildren(), "") << "no child may be leaked";
+    }
+  }
+}
+
+TEST(TransportTest, RejectedRecordRetiresTheResidentAndRequeuesLaterClaims) {
+  // A bit-flipped record is rejected; the ring's framing after it cannot
+  // be trusted, so its resident is retired and replaced, and every chunk
+  // it claimed after that record runs again in another process. Each
+  // execution logs (sequence number, chunk, pid) in shared memory to check
+  // the second half; the one-ahead claim makes such chunks common.
+  constexpr int64_t N = 48;
+  constexpr int64_t BadChunk = 6;
+  SharedWords Log(1 + 3 * 256);
+  ASSERT_NE(Log.data(), nullptr);
+  int64_t *Seq = Log.data();
+  int64_t *Entries = Log.data() + 1;
+  std::vector<int64_t> Data(N, -1);
+  LoopSpec Spec;
+  Spec.NumIterations = N;
+  Spec.Body = [&Data, Seq, Entries](TxnContext &Ctx, int64_t I) {
+    const int64_t K = __atomic_fetch_add(Seq, 1, __ATOMIC_SEQ_CST);
+    if (K < 256) {
+      Entries[3 * K] = K;
+      Entries[3 * K + 1] = I;
+      Entries[3 * K + 2] = ::getpid();
+    }
+    Ctx.store(&Data[static_cast<size_t>(I)], I * 3 + 8);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = 3;
+  Config.Params.ChunkFactor = 1;
+  Config.Params.CommitOrder = CommitOrderPolicy::OutOfOrder;
+  Config.Transport = TransportKind::Ring;
+  FaultPlan::global().clear();
+  FaultPlan::global().setSeed(3);
+  FaultPlan::global().arm(FaultKind::BitFlip, BadChunk, /*Sticky=*/false);
+  const RunResult R = PipelineExecutor(Config).run(Spec);
+  FaultPlan::global().clear();
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  for (int64_t I = 0; I != N; ++I)
+    EXPECT_EQ(Data[static_cast<size_t>(I)], I * 3 + 8) << "iteration " << I;
+  EXPECT_EQ(R.Stats.NumWireRejects, 1u);
+  EXPECT_EQ(R.Stats.NumChildCrashes, 0u);
+  EXPECT_EQ(R.Stats.WarmForks - R.Stats.ChildReuses, 3u + 1u)
+      << "the healthy but retired resident was replaced";
+
+  const int64_t Runs = std::min<int64_t>(*Seq, 256);
+  int64_t BadSeq = -1, BadPid = -1;
+  for (int64_t K = 0; K != Runs; ++K)
+    if (Entries[3 * K + 1] == BadChunk && BadSeq < 0) {
+      BadSeq = K;
+      BadPid = Entries[3 * K + 2];
+    }
+  ASSERT_GE(BadSeq, 0);
+  for (int64_t K = BadSeq + 1; K != Runs; ++K) {
+    if (Entries[3 * K + 2] != BadPid)
+      continue;
+    // A later claim of the retired resident: it must have run again
+    // elsewhere.
+    bool Rerun = false;
+    for (int64_t J = K + 1; J != Runs; ++J)
+      Rerun |= Entries[3 * J + 1] == Entries[3 * K + 1] &&
+               Entries[3 * J + 2] != BadPid;
+    EXPECT_TRUE(Rerun) << "chunk " << Entries[3 * K + 1];
+  }
+}
+
+TEST(TransportTest, InOrderAllocatingLoopsKeepArenasDisjoint) {
+  // Genome (input 0) allocates hash-table nodes under in-order retirement:
+  // parked reports hold allocations a resident must never hand out again.
+  {
+    auto Ref = makeWorkload("genome");
+    Ref->setUp(0);
+    Ref->runSequential();
+    const std::vector<double> RefSig = Ref->outputSignature();
+    auto W = makeWorkload("genome");
+    W->setUp(0);
+    const RunResult R = W->runPipeline(
+        paramsForSequentialSpeculation(W->defaultChunkFactor()),
+        /*NumWorkers=*/3);
+    ASSERT_TRUE(R.succeeded()) << R.Detail;
+    EXPECT_TRUE(W->validate(RefSig));
+  }
+  // The same guarantee, checked directly: chunk 0 is slow, so the chunks
+  // after it park with their allocations, and a kill replaces a resident
+  // while they are parked. Every node must be distinct, intact and
+  // disjoint from every other.
+  struct Node {
+    int64_t Value;
+    int64_t Pad[3];
+  };
+  constexpr int64_t N = 24;
+  constexpr unsigned Workers = 3;
+  AlterAllocator Alloc(Workers, 1 << 20);
+  std::vector<Node *> Slot(N, nullptr);
+  LoopSpec Spec;
+  Spec.NumIterations = N;
+  Spec.Body = [&Slot](TxnContext &Ctx, int64_t I) {
+    if (I == 0)
+      sleepMs(100);
+    Node *Fresh = static_cast<Node *>(Ctx.allocate(sizeof(Node)));
+    Ctx.storeInit(&Fresh->Value, I * 13 + 1);
+    Ctx.store(&Slot[static_cast<size_t>(I)], Fresh);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = Workers;
+  Config.Params.ChunkFactor = 1;
+  Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
+  Config.Allocator = &Alloc;
+  Config.Transport = TransportKind::Ring;
+  FaultPlan::global().clear();
+  FaultPlan::global().arm(FaultKind::ChildKill, /*Chunk=*/4, /*Sticky=*/false);
+  const RunResult R = PipelineExecutor(Config).run(Spec);
+  FaultPlan::global().clear();
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  EXPECT_EQ(R.Stats.NumChildCrashes, 1u);
+  std::set<uintptr_t> Starts;
+  for (int64_t I = 0; I != N; ++I) {
+    const Node *P = Slot[static_cast<size_t>(I)];
+    ASSERT_NE(P, nullptr) << "iteration " << I;
+    EXPECT_EQ(P->Value, I * 13 + 1) << "iteration " << I;
+    Starts.insert(reinterpret_cast<uintptr_t>(P));
+  }
+  ASSERT_EQ(Starts.size(), static_cast<size_t>(N)) << "no node shared";
+  for (auto It = Starts.begin(); std::next(It) != Starts.end(); ++It)
+    EXPECT_GE(*std::next(It) - *It, sizeof(Node)) << "nodes overlap";
+}
+
+TEST(TransportTest, StalledClaimIsKilledByTheDeadline) {
+  // A resident stalls on the chunk it claimed: the deadline ends the run
+  // as Timeout long before the stall would, and tearing the pool down
+  // leaves no child behind.
+  constexpr int64_t N = 32;
+  std::vector<int64_t> Data(N, -1);
+  LoopSpec Spec;
+  Spec.NumIterations = N;
+  Spec.Body = [&Data](TxnContext &Ctx, int64_t I) {
+    Ctx.store(&Data[static_cast<size_t>(I)], I);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = 3;
+  Config.Params.ChunkFactor = 2;
+  Config.Transport = TransportKind::Ring;
+  Config.SeqBaselineNs = 2'000'000; // a 20 ms deadline
+  FaultPlan::global().clear();
+  FaultPlan::global().arm(FaultKind::Stall, /*Chunk=*/3, /*Sticky=*/false);
+  FaultPlan::global().setStallNs(5'000'000'000ULL);
+  const uint64_t T0 = nowNs();
+  const RunResult R = PipelineExecutor(Config).run(Spec);
+  const uint64_t Elapsed = nowNs() - T0;
+  FaultPlan::global().clear();
+  EXPECT_EQ(R.Status, RunStatus::Timeout) << R.Detail;
+  EXPECT_LT(Elapsed, 2'000'000'000ULL) << "the stall must not be waited out";
+  EXPECT_EQ(liveChildren(), "") << "no child may be leaked";
+}
+
+TEST(TransportTest, StarvationDrainRunsTheStarvingChunkAlone) {
+  // Chunk 0 reads a cell every other chunk writes and is slow, so it fails
+  // validation over and over under OutOfOrder until the starvation guard
+  // retracts the queue, waits for the residents to go idle, and publishes
+  // it alone. Each body logs how many bodies run at its start and end.
+  constexpr int64_t N = 48;
+  SharedWords Shared(2 + 2 * 64);
+  ASSERT_NE(Shared.data(), nullptr);
+  int64_t *Running = Shared.data();
+  int64_t *Attempts = Shared.data() + 1;
+  int64_t *Seen = Shared.data() + 2; // per attempt of chunk 0: max running
+  int64_t Hot = 0;
+  std::vector<int64_t> Data(N, -1);
+  LoopSpec Spec;
+  Spec.NumIterations = N;
+  Spec.Body = [&](TxnContext &Ctx, int64_t I) {
+    int64_t Now = __atomic_add_fetch(Running, 1, __ATOMIC_SEQ_CST);
+    if (I == 0) {
+      const int64_t A = __atomic_fetch_add(Attempts, 1, __ATOMIC_SEQ_CST);
+      (void)Ctx.load(&Hot);
+      sleepMs(6);
+      Now = std::max(Now, __atomic_load_n(Running, __ATOMIC_SEQ_CST));
+      if (A < 64)
+        Seen[A] = Now;
+    } else {
+      sleepMs(2);
+      Ctx.store(&Hot, I);
+    }
+    Ctx.store(&Data[static_cast<size_t>(I)], I + 100);
+    __atomic_sub_fetch(Running, 1, __ATOMIC_SEQ_CST);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = 3;
+  Config.Params.ChunkFactor = 1;
+  Config.Params.Conflict = ConflictPolicy::RAW;
+  Config.Params.CommitOrder = CommitOrderPolicy::OutOfOrder;
+  Config.Transport = TransportKind::Ring;
+  const RunResult R = PipelineExecutor(Config).run(Spec);
+  ASSERT_TRUE(R.succeeded()) << R.Detail;
+  for (int64_t I = 0; I != N; ++I)
+    EXPECT_EQ(Data[static_cast<size_t>(I)], I + 100);
+  const int64_t A = std::min<int64_t>(*Attempts, 64);
+  ASSERT_GT(A, static_cast<int64_t>(PipelineExecutor::StarvationRetryLimit))
+      << "chunk 0 must have starved into the guard";
+  EXPECT_EQ(Seen[A - 1], 1) << "its last attempt ran alone";
 }
 
 } // namespace

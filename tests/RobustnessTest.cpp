@@ -1081,7 +1081,7 @@ TEST(DegradationLadderTest, EnvPlanCompletesWithSequentialOutput) {
 //===----------------------------------------------------------------------===
 
 TEST(ResourceFaultMatrixTest, RingSetupFailureDegradesToColdTransport) {
-  // ENOMEM on a slot's ring mmap, or EMFILE on its doorbell/work pipes, at
+  // ENOMEM on a slot's ring mmap, or EMFILE on its doorbell pipe, at
   // pool construction: the engine drops the invalid pool, counts a
   // ResourceFault and a TransportDowngrade, and runs the whole loop on the
   // cold pipe+fork transport — a performance downgrade, never a failure
