@@ -907,6 +907,10 @@ TEST(TransportTest, ConflictHeavyLoopStaysCorrectUnderReuse) {
   LoopSpec Spec;
   Spec.NumIterations = N;
   Spec.Body = [&Acc](TxnContext &Ctx, int64_t I) {
+    // A millisecond per chunk keeps the residents' chunks overlapping,
+    // so they conflict however late the others claim their first.
+    if (I % 2 == 0)
+      sleepMs(1);
     Ctx.store(&Acc, Ctx.load(&Acc) + I + 1);
   };
   ExecutorConfig Config;
@@ -932,6 +936,10 @@ TEST(TransportTest, ConflictHeavyLoopForksOnlyOncePerSlot) {
   LoopSpec Spec;
   Spec.NumIterations = N;
   Spec.Body = [&Acc](TxnContext &Ctx, int64_t I) {
+    // A millisecond per chunk keeps the residents' chunks overlapping,
+    // so they conflict however late the others claim their first.
+    if (I % 2 == 0)
+      sleepMs(1);
     Ctx.store(&Acc, Ctx.load(&Acc) + I + 1);
   };
   ExecutorConfig Config;
@@ -1055,6 +1063,10 @@ TEST(TransportTest, AbortedWritesDoNotSurviveInTheResidentChild) {
   LoopSpec Spec;
   Spec.NumIterations = N;
   Spec.Body = [&Flag, &Count](TxnContext &Ctx, int64_t I) {
+    // A millisecond per chunk keeps the residents' chunks overlapping,
+    // so they conflict however late the others claim their first.
+    if (I % 8 == 0)
+      sleepMs(1);
     int64_t *F = &Flag[static_cast<size_t>((I * 7) % Keys)];
     if (Ctx.load(F) == 0) {
       Ctx.store(F, int64_t(1));
@@ -1099,6 +1111,10 @@ TEST(TransportTest, AbortedAllocationsAreRolledBackInTheResidentChild) {
   LoopSpec Spec;
   Spec.NumIterations = N;
   Spec.Body = [&Head](TxnContext &Ctx, int64_t I) {
+    // A millisecond per chunk keeps the residents' chunks overlapping,
+    // so they conflict however late the others claim their first.
+    if (I % 2 == 0)
+      sleepMs(1);
     Node *Fresh = static_cast<Node *>(Ctx.allocate(sizeof(Node)));
     Ctx.storeInit(&Fresh->Value, I);
     Ctx.storeInit(&Fresh->Next, Ctx.load(&Head));
@@ -1428,16 +1444,19 @@ TEST(TransportTest, StalledClaimIsKilledByTheDeadline) {
 }
 
 TEST(TransportTest, StarvationDrainRunsTheStarvingChunkAlone) {
-  // Chunk 0 reads a cell every other chunk writes and is slow, so it fails
-  // validation over and over under OutOfOrder until the starvation guard
-  // retracts the queue, waits for the residents to go idle, and publishes
-  // it alone. Each body logs how many bodies run at its start and end.
+  // Chunk 0 reads a cell every other chunk writes, and each attempt waits
+  // (boundedly) until another body has finished, so a commit lands after
+  // its snapshot: it fails validation over and over under OutOfOrder until
+  // the starvation guard retracts the queue, waits for the residents to go
+  // idle, and publishes it alone. Each attempt logs how many bodies ran
+  // beside it.
   constexpr int64_t N = 48;
-  SharedWords Shared(2 + 2 * 64);
+  SharedWords Shared(3 + 64);
   ASSERT_NE(Shared.data(), nullptr);
   int64_t *Running = Shared.data();
   int64_t *Attempts = Shared.data() + 1;
-  int64_t *Seen = Shared.data() + 2; // per attempt of chunk 0: max running
+  int64_t *Done = Shared.data() + 2;
+  int64_t *Seen = Shared.data() + 3; // per attempt of chunk 0: max running
   int64_t Hot = 0;
   std::vector<int64_t> Data(N, -1);
   LoopSpec Spec;
@@ -1447,13 +1466,18 @@ TEST(TransportTest, StarvationDrainRunsTheStarvingChunkAlone) {
     if (I == 0) {
       const int64_t A = __atomic_fetch_add(Attempts, 1, __ATOMIC_SEQ_CST);
       (void)Ctx.load(&Hot);
-      sleepMs(6);
+      const int64_t Done0 = __atomic_load_n(Done, __ATOMIC_SEQ_CST);
+      for (int W = 0;
+           W != 50 && __atomic_load_n(Done, __ATOMIC_SEQ_CST) == Done0; ++W)
+        sleepMs(1);
+      sleepMs(2);
       Now = std::max(Now, __atomic_load_n(Running, __ATOMIC_SEQ_CST));
       if (A < 64)
         Seen[A] = Now;
     } else {
-      sleepMs(2);
+      sleepMs(3);
       Ctx.store(&Hot, I);
+      __atomic_add_fetch(Done, 1, __ATOMIC_SEQ_CST);
     }
     Ctx.store(&Data[static_cast<size_t>(I)], I + 100);
     __atomic_sub_fetch(Running, 1, __ATOMIC_SEQ_CST);
