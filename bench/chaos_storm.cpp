@@ -94,7 +94,7 @@ const FaultKind StormKinds[] = {
     FaultKind::BitFlip,      FaultKind::Stall,
     FaultKind::TemplatePoison, FaultKind::QueueFlip,
     FaultKind::MmapFail,     FaultKind::PipeExhaust,
-    FaultKind::SignalStorm,
+    FaultKind::SignalStorm,  FaultKind::SpawnFail,
 };
 
 /// Arms 1-4 random fault points. Returns a printable spec for diagnostics.

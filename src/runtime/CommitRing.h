@@ -258,10 +258,11 @@ private:
 /// Besides the entries the region holds the parent's published commit
 /// sequence (a claimer's snapshot), per slot a pair of verdict counters
 /// (reports of the slot's resident the parent has taken, and of those the
-/// ones it has decided) and the count of records the resident has
-/// published, one futex word children sleep on while there is nothing they
-/// may claim — the parent bumps it after every batch of publishes and
-/// verdicts — and one the parent sleeps on while it waits for records.
+/// ones it has decided), the count of records the resident has published
+/// and the word it announces its start in, one futex word children sleep
+/// on while there is nothing they may claim — the parent bumps it after
+/// every batch of publishes and verdicts — and one the parent sleeps on
+/// while it waits for records.
 class DispatchQueue {
 public:
   /// State of an entry: Open (claimable), Claimed (by a slot and attempt
@@ -276,6 +277,9 @@ public:
     /// Commit sequence the claimer's snapshot reflects; written by the
     /// claimer before it runs the chunk.
     std::atomic<uint64_t> SnapshotSeq;
+    /// Commit sequence when the parent published the entry: no claimer's
+    /// snapshot is older.
+    uint64_t PublishSeq;
     int64_t Chunk;
     int64_t First;
     int64_t Last;
@@ -328,10 +332,15 @@ public:
   /// Parent: sets slot \p Slot's verdict counters (a new resident starts at
   /// zero).
   void setVerdicts(unsigned Slot, uint64_t Taken, uint64_t Settled);
-  /// Parent: zeroes slot \p Slot's published-record count (a new resident,
-  /// once its predecessor can publish no more).
-  void resetRecords(unsigned Slot) {
+  /// Parent: zeroes slot \p Slot's child-written words before its next
+  /// resident is forked (its predecessor was reaped and can write no more).
+  void newResident(unsigned Slot) {
     Words[Slot].Records.store(0, std::memory_order_release);
+    Words[Slot].Up.store(0, std::memory_order_release);
+  }
+  /// Parent: the resident of \p Slot with attempt tag \p Tag has started.
+  bool up(unsigned Slot, uint8_t Tag) const {
+    return Words[Slot].Up.load(std::memory_order_acquire) == upWord(Tag);
   }
   /// Parent: records slot \p Slot's resident has published whole. Read it
   /// before draining the ring: every byte of those records is then there.
@@ -346,9 +355,8 @@ public:
   /// Parent: sleeps until a child or the template calls wakeParent() after
   /// \p Seen was read, or \p TimeoutMs passes.
   void sleepParent(uint32_t Seen, int TimeoutMs);
-  /// Parent: closes slot \p Slot's claim gate until the next
-  /// setVerdicts: a resident being retired, or a successor that must not
-  /// publish before its predecessor's bytes are out of the ring.
+  /// Parent: closes slot \p Slot's claim gate for good: its resident is
+  /// being retired.
   void closeSlot(unsigned Slot) { setVerdicts(Slot, uint64_t(1) << 62, 0); }
   /// Parent: wakes every sleeping claimer (after publishing or verdicts).
   void ring();
@@ -372,6 +380,13 @@ public:
   /// Child: sleeps until ring() moves the generation past \p Seen (or a
   /// short backstop timeout), counting the sleep.
   void sleep(uint32_t Seen);
+  /// Child: the resident of \p Slot with attempt tag \p Tag has started,
+  /// before it claims anything; wakes the parent. A resident whose template
+  /// reaps it before it announced itself was never really forked.
+  void announce(unsigned Slot, uint8_t Tag) {
+    Words[Slot].Up.store(upWord(Tag), std::memory_order_release);
+    wakeParent();
+  }
   /// Child: its record is whole in slot \p Slot's ring; wakes the parent.
   void published(unsigned Slot) {
     Words[Slot].Records.fetch_add(1, std::memory_order_release);
@@ -402,7 +417,9 @@ private:
     alignas(64) std::atomic<uint64_t> Taken; // parent-written
     std::atomic<uint64_t> Settled;
     alignas(64) std::atomic<uint64_t> Records; // child-written
+    std::atomic<uint64_t> Up;
   };
+  static uint64_t upWord(uint8_t Tag) { return 0x100 | Tag; }
 
   Header *Hdr = nullptr;
   SlotWords *Words = nullptr;

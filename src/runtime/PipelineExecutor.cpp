@@ -241,6 +241,8 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
       chunkFault(Chunk, "fork/pipe failure");
       return;
     }
+    if (Pool)
+      Pool->coldForked(SlotIdx);
     C.Busy = true;
     C.Chunk = Chunk;
     C.SnapshotSeq = Detector.commitSeq();
@@ -286,7 +288,10 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   // round barrier. On the ring transport each slot holds a resident and the
   // queue holds OpenEntriesPerResident open entries per live resident, in
   // pending order; a slot whose resident cannot be forked runs cold
-  // children instead.
+  // children instead. No entry opens while a forked resident has not yet
+  // announced itself: residents forked together start together, instead
+  // of the first one running ahead alone while the template forks the
+  // rest.
   auto schedule = [&] {
     // Reorder before anything can be forked: a fresh resident must find
     // the oldest runnable chunk first (under InOrder, the residents that
@@ -301,7 +306,7 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     for (unsigned I = 0; Pool && I != ActiveP; ++I)
       if (Pool->residentLive(I) && Wanted != 0)
         --Wanted;
-    unsigned Live = 0;
+    unsigned Live = 0, Starting = 0;
     for (unsigned I = 0; I != ActiveP && !Lane.failed(); ++I) {
       if (Cold[I].Busy)
         continue;
@@ -316,8 +321,11 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
       }
       if (St == WorkerPool::ResidentState::Live) {
         ++Live;
+        Starting += Pool->residentUp(I) ? 0 : 1;
         continue;
       }
+      if (St == WorkerPool::ResidentState::Retiring)
+        continue;
       const int64_t Chunk = nextChunk();
       if (Chunk < 0)
         continue;
@@ -335,13 +343,17 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     unsigned Open = 0;
     for (const auto &[Index, F] : Flights)
       Open += F.Claimed ? 0 : 1;
-    while (Open < OpenEntriesPerResident * Live && !Lane.failed()) {
+    const unsigned Target = Starting != 0 ? 0 : OpenEntriesPerResident * Live;
+    while (Open < Target && !Lane.failed()) {
       const int64_t Chunk = nextChunk();
       if (Chunk < 0)
         break;
       ArmedFault Fault;
-      if (!takeFault(Chunk, Fault))
+      if (!takeFault(Chunk, Fault)) {
+        if (shutdownRequested())
+          break; // the chunk stays pending; the main loop winds down
         continue;
+      }
       if (Fault.Armed && Fault.Kind == FaultKind::TemplatePoison) {
         poison(Chunk);
         break; // every resident is gone; respawn on the next sweep
@@ -583,11 +595,17 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
       // on while the parent commits. Then the pipes (the template's reap
       // doorbells, its liveness) are only checked here, and the parent
       // sleeps on the queue below. Cold children wake it through their
-      // pipes. With a deadline armed, wake periodically even if no child
-      // reports, so a runaway chunk cannot postpone the timeout check.
+      // pipes; while residents run beside them, a short timeout bounds how
+      // long their records wait. With a deadline armed, wake periodically
+      // even if no child reports, so a runaway chunk cannot postpone the
+      // timeout check.
       const bool QueueWait = Pool && FdSlots.front() >= P;
+      const bool Residents = Pool && FdSlots.back() >= P;
       const uint32_t Seen = QueueWait ? Pool->parentGeneration() : 0;
-      const int PollTimeoutMs = QueueWait ? 0 : DeadlineNs == 0 ? -1 : 100;
+      const int PollTimeoutMs = QueueWait   ? 0
+                                : Residents ? 1
+                                : DeadlineNs == 0 ? -1
+                                                  : 100;
       const uint64_t PollT0 = Sink.events() ? traceNowNs() : 0;
       int Ready;
       do {

@@ -17,14 +17,16 @@
 ///
 /// Semantics (relative to §4.2/§4.3 and Theorems 4.1-4.4):
 ///
-///  - Each child starts on every commit applied so far: a cold child is
-///    forked from the parent, a resident replays the pool's commit stream
-///    through the commit count it reads right after claiming the chunk.
-///    The transaction records that count ("snapshot sequence") and
-///    validates against exactly the write sets of transactions that
-///    committed AFTER that point (ConflictDetector's epoch interface). This generalizes the round
-///    discipline — a round-mate is just a transaction whose snapshot you
-///    share — and preserves each theorem's guarantee:
+///  - Each child starts on the commits applied before it runs: a cold
+///    child is forked from the parent, a resident replays the pool's
+///    commit stream through the commit count it reads right after claiming
+///    the chunk (for its first chunk, the count the entry was published
+///    at, or its fork's if later). The transaction records that count
+///    ("snapshot sequence") and validates against exactly the write sets
+///    of transactions that committed AFTER that point (ConflictDetector's
+///    epoch interface). This generalizes the round discipline — a
+///    round-mate is just a transaction whose snapshot you share — and
+///    preserves each theorem's guarantee:
 ///      * RAW/FULL: a committing transaction's reads are unaffected by
 ///        every commit it missed, so the final state equals the serial
 ///        replay of chunks in commit order (conflict serializability).

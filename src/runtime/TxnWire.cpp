@@ -568,6 +568,7 @@ void alter::runResidentChild(const LoopSpec &Spec,
                              DispatchQueue &Queue, const CommitStream &Stream,
                              CommitStream::Cursor Cursor) {
   markForkedChild();
+  Queue.announce(Slot, Tag);
   const unsigned Worker = Slot + 1;
   // Survives across chunks, but each encodeCommitFrame takes-and-resets
   // it, so chunk N's frame carries the waits recorded since chunk N-1's
@@ -582,6 +583,7 @@ void alter::runResidentChild(const LoopSpec &Spec,
   // commit (PAPER.md §4.1: concurrent processes never share an address).
   uint64_t Pushed = 0;
   bool HoldArena = false;
+  bool First = true;
   for (;;) {
     const uint64_t WaitT0 = Metrics ? nowNs() : 0;
     uint64_t Index = 0;
@@ -594,9 +596,11 @@ void alter::runResidentChild(const LoopSpec &Spec,
                                   : Pushed - Queue.taken(Slot) <= 1;
       if (Gate) {
         // Catch up before claiming: a replica the stream has lapped bows
-        // out holding no chunk, and the pool replaces it.
-        if (catchUpCommits(Stream, Cursor, Queue.commitSeq(), Spec, Config) !=
-            CommitStream::ReadResult::Ok)
+        // out holding no chunk, and the pool replaces it. (The first claim
+        // must not move the snapshot; see below.)
+        if (!First &&
+            catchUpCommits(Stream, Cursor, Queue.commitSeq(), Spec, Config) !=
+                CommitStream::ReadResult::Ok)
           _exit(StreamOverrunExitStatus);
         if (Queue.claim(Slot, Tag, Index))
           break;
@@ -611,13 +615,18 @@ void alter::runResidentChild(const LoopSpec &Spec,
       Metrics->record(HistogramId::ValidateWaitNs, nowNs() - WaitT0);
     // The snapshot is read after the claim, so it is never older than the
     // commit sequence the parent published the entry at — the bound its
-    // epoch pruning relies on. A lapped replay hands the claimed chunk back
+    // epoch pruning relies on. A first chunk runs on that publication
+    // snapshot (or the fork's, if later): residents started together then
+    // run their first chunks on one snapshot however the scheduler
+    // staggers their claims. A lapped replay hands the claimed chunk back
     // through the template's reap.
-    const uint64_t Seq = Queue.commitSeq();
+    DispatchQueue::Entry &E = Queue.entry(Index);
+    const uint64_t Seq = First ? std::max(Cursor.Seq, E.PublishSeq)
+                               : Queue.commitSeq();
+    First = false;
     if (catchUpCommits(Stream, Cursor, Seq, Spec, Config) !=
         CommitStream::ReadResult::Ok)
       _exit(StreamOverrunExitStatus);
-    DispatchQueue::Entry &E = Queue.entry(Index);
     E.SnapshotSeq.store(Seq, std::memory_order_relaxed);
     const std::vector<uint8_t> Message =
         buildChildCommitMessage(Spec, Config, Ctx, /*Resident=*/true, Worker,

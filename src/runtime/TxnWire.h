@@ -132,17 +132,19 @@ constexpr int StreamOverrunExitStatus = 14;
 
 /// A resident child of worker slot \p Slot (the pipeline engine's
 /// fork-free steady state), tagged \p Tag: a replica of committed state
-/// that claims chunks from \p Queue for as long as it lives. For each it
-/// catches up from \p Stream (from \p Cursor, the template's position at
-/// the fork) through the commit sequence it reads after the claim — the
-/// chunk's snapshot, which it stores in the entry — runs the chunk with
-/// its one TxnContext, publishes the frame into \p Ring, counts it in the
-/// queue and wakes the parent (one futex word, no pipe), restores its
-/// snapshot (suspendTxn plus an arena rollback) and claims again. It claims only while at most one of its records awaits
-/// the parent's verdict, and after a chunk that allocated only once the
-/// parent has decided every record it pushed; otherwise, or when nothing
-/// is open, it sleeps on the queue's futex. A lapped replay exits with
-/// StreamOverrunExitStatus. Never returns; the template kills it.
+/// that claims chunks from \p Queue for as long as it lives. It first
+/// announces itself in the queue. For each chunk it catches up from
+/// \p Stream (from \p Cursor, the template's position at the fork)
+/// through the commit sequence it reads after the claim — the chunk's
+/// snapshot, which it stores in the entry — runs the chunk with its one
+/// TxnContext, publishes the frame into \p Ring, counts it in the queue
+/// and wakes the parent (one futex word, no pipe), restores its snapshot
+/// (suspendTxn plus an arena rollback) and claims again. It claims only
+/// while at most one of its records awaits the parent's verdict, and after
+/// a chunk that allocated only once the parent has decided every record it
+/// pushed; otherwise, or when nothing is open, it sleeps on the queue's
+/// futex. A lapped replay exits with StreamOverrunExitStatus. Never
+/// returns; the template kills it.
 [[noreturn]] void runResidentChild(const LoopSpec &Spec,
                                    const ExecutorConfig &Config,
                                    unsigned Slot, uint8_t Tag,

@@ -69,6 +69,8 @@ struct SpawnCmd {
   /// Arena cursor the resident starts from at least: past the allocations
   /// of the slot's reports that still await in-order retirement.
   uint64_t BumpFloor;
+  /// An injected SpawnFail: the template's fork reports failure.
+  uint64_t FailFork;
 };
 
 /// The executors and the pool live in processes that write to pipes whose
@@ -485,6 +487,7 @@ bool WorkerPool::publish(int64_t Chunk, int64_t First, int64_t Last,
   E.First = First;
   E.Last = Last;
   E.Fault = Fault;
+  E.PublishSeq = Stream.end().Seq;
   E.SnapshotSeq.store(0, std::memory_order_relaxed);
   Queue->open(Index);
   EntryState &St = Entries[Index];
@@ -503,8 +506,15 @@ bool WorkerPool::retract(uint64_t Index) {
 WorkerPool::ResidentState WorkerPool::ensureResident(unsigned Slot,
                                                      uint64_t BumpFloor) {
   SlotState &S = Slots[Slot];
-  if (S.Resident == ResidentState::Live)
+  // A retiring resident keeps its slot until the template has reaped it:
+  // only then is every byte it pushed out of the ring.
+  if (S.Resident != ResidentState::None)
     return S.Resident;
+  // The slot's last resident could not be forked: run it cold until a
+  // cold fork of it works again (coldForked), so that a lasting fork
+  // failure reaches the engine's fork-failure handling.
+  if (S.SpawnFailed)
+    return ResidentState::None;
   if (Invalid || !ensureTemplate()) {
     ++Stats.PoolFaults;
     return ResidentState::None;
@@ -524,35 +534,25 @@ WorkerPool::ResidentState WorkerPool::ensureResident(unsigned Slot,
       return ResidentState::None;
     }
   }
-  // A retired predecessor is still being killed: its successor is forked
-  // at once (the template kills and reaps the predecessor first) but
-  // fenced — its claim gate stays closed until the predecessor's reap
-  // doorbell proves every byte it pushed is out of the ring. Otherwise
-  // the slot is quiet (its resident was reaped, or died with the old
-  // template): discard stale doorbells and leftover ring bytes now.
-  const bool Fence = S.Resident == ResidentState::Retiring;
-  if (!Fence) {
-    (void)readBells(Slot);
-    std::vector<uint8_t> Discard;
-    S.Ring->drainInto(Discard);
-  }
-  S.FenceTag = S.Attempt;
+  // The slot is quiet (its resident was reaped, or died with the old
+  // template): discard stale doorbells and leftover ring bytes.
+  (void)readBells(Slot);
+  std::vector<uint8_t> Discard;
+  S.Ring->drainInto(Discard);
   S.Attempt = (S.Attempt + 1) & RingDoorbellTagMask;
-  const SpawnCmd Spawn{Slot, S.Attempt, Stream.end().Seq, BumpFloor};
+  const bool FailFork =
+      FaultPlan::global().takeSetup(FaultKind::SpawnFail, Slot).Armed;
+  const SpawnCmd Spawn{Slot, S.Attempt, Stream.end().Seq, BumpFloor,
+                       FailFork ? 1u : 0u};
   // A new resident starts with no records, hence no verdicts.
-  if (Fence) {
-    Queue->closeSlot(Slot);
-  } else {
-    Queue->resetRecords(Slot);
-    Queue->setVerdicts(Slot, 0, 0);
-  }
+  Queue->newResident(Slot);
+  Queue->setVerdicts(Slot, 0, 0);
   if (!sendCommand(OpSpawn, &Spawn, sizeof(Spawn)))
     return ResidentState::None;
   TemplateCursor = Stream.end();
-  ++Stats.WarmForks;
+  // Counted as a warm fork once it announces itself (collect).
   S.Resident = ResidentState::Live;
-  S.Fenced = Fence;
-  S.FenceDown = false;
+  S.Up = false;
   S.Claimed = false;
   S.Terminal = false;
   S.Abnormal = false;
@@ -585,8 +585,6 @@ uint8_t WorkerPool::readBells(unsigned Slot) {
     for (ssize_t I = 0; I != N; ++I) {
       const uint8_t Tag = Bells[I] & RingDoorbellTagMask;
       const uint8_t Kind = Bells[I] & RingDoorbellKindMask;
-      if (S.Fenced && Tag == S.FenceTag && Kind >= RingDoorbellClean)
-        S.FenceDown = true; // the retired predecessor was reaped
       if (Tag != S.Attempt)
         continue; // stale: a previous occupant of this slot
       if (Kind >= RingDoorbellClean)
@@ -689,20 +687,15 @@ size_t WorkerPool::collect(const std::vector<bool> &Readable,
       S.Terminal = true;
       S.Abnormal = Terminal == RingDoorbellAbnormal;
     }
-    if (!S.Fenced)
-      S.Published = Queue->records(I);
-    S.Ring->drainInto(S.Buf);
-    if (S.Fenced) {
-      // Everything in the ring is the retired predecessor's: the fenced
-      // resident cannot claim, hence cannot publish, until the fence is
-      // down — which happens only after this drain.
-      S.Buf.clear();
-      if (S.FenceDown) {
-        S.Fenced = false;
-        Queue->resetRecords(I);
-        S.VerdictsDirty = true;
-      }
+    // Read after the bells: a resident announces itself before anything
+    // that could end in its terminal bell.
+    if (!S.Up && Queue->up(I, S.Attempt)) {
+      S.Up = true;
+      ++Stats.WarmForks;
+      ++Delivered; // news for the engine: entries may open now
     }
+    S.Published = Queue->records(I);
+    S.Ring->drainInto(S.Buf);
   }
   scanClaims();
   for (unsigned I = 0; I != Slots.size(); ++I) {
@@ -762,6 +755,7 @@ size_t WorkerPool::collect(const std::vector<bool> &Readable,
       // Its claim gate closes first, so it takes no more work meanwhile.
       const KillCmd Kill{I};
       loseClaims(I, /*Crashed=*/false);
+      S.VerdictsDirty = false;
       if (S.Terminal) {
         S.Resident = ResidentState::None;
       } else {
@@ -772,6 +766,15 @@ size_t WorkerPool::collect(const std::vector<bool> &Readable,
       continue;
     }
     if (S.Terminal) {
+      if (!S.Up) {
+        // Reaped before it announced itself: the template's fork failed
+        // (or the child died at birth), so it ran nothing. A fork failure,
+        // not a chunk's crash; the slot runs cold for now (ensureResident).
+        ++Stats.NumForkFailures;
+        ++Stats.ResourceFaults;
+        ++Stats.PoolFaults;
+        S.SpawnFailed = true;
+      }
       // The resident is gone: what it claimed and never reported is lost,
       // a contained crash when it died abnormally.
       loseClaims(I, S.Abnormal);
@@ -815,7 +818,7 @@ void WorkerPool::settled(uint64_t Index) {
 void WorkerPool::flush() {
   for (unsigned I = 0; I != Slots.size(); ++I) {
     SlotState &S = Slots[I];
-    if (!S.VerdictsDirty || S.Fenced)
+    if (!S.VerdictsDirty || S.Resident != ResidentState::Live)
       continue;
     S.VerdictsDirty = false;
     Queue->setVerdicts(I, S.Taken, S.Settled);
@@ -880,6 +883,10 @@ bool WorkerPool::pump(unsigned Slot, ChunkChannel &Ch) {
   if (Ch.Done)
     S.RecordDone = true;
   return Ch.Done;
+}
+
+void WorkerPool::coldForked(unsigned Slot) {
+  Slots[Slot].SpawnFailed = false;
 }
 
 void WorkerPool::killSlot(unsigned Slot) {
@@ -984,8 +991,9 @@ void WorkerPool::templateMain(int CtlFd) {
   // Forks the slot's child; returns 0 in the child, with only the slot's
   // own doorbell left open, and the pid (or -1 after ringing the abnormal
   // doorbell, so the parent requeues instead of waiting) in the template.
-  const auto ForkChild = [&](unsigned Slot) -> pid_t {
-    const pid_t Pid = ::fork();
+  // \p Fail injects a failed fork.
+  const auto ForkChild = [&](unsigned Slot, bool Fail = false) -> pid_t {
+    const pid_t Pid = Fail ? -1 : ::fork();
     if (Pid < 0) {
       Terminal(Slot, RingDoorbellAbnormal);
       return -1;
@@ -1078,7 +1086,7 @@ void WorkerPool::templateMain(int CtlFd) {
         if (catchUpCommits(Stream, Cur, Spawn.Seq, Spec, Config) !=
             CommitStream::ReadResult::Ok)
           Lapped(Slot);
-        const pid_t Pid = ForkChild(Slot);
+        const pid_t Pid = ForkChild(Slot, Spawn.FailFork != 0);
         if (Pid == 0) {
           if (Config.Allocator)
             Config.Allocator->advanceBump(Slot + 1,

@@ -26,7 +26,9 @@
 /// each resident child — keeps its own cursor and replays the records
 /// after it, in commit order: the template up to the sequence number its
 /// next command names, a resident up to the count it reads right after
-/// claiming a chunk, which becomes the chunk's SnapshotSeq. The parent
+/// claiming a chunk, which becomes the chunk's SnapshotSeq (its first
+/// chunk runs on the count the entry was published at, or the fork's if
+/// later, so residents started together share one snapshot). The parent
 /// never waits for a replica. It checks before each template command that
 /// the records the template needs are still in the stream
 /// (CommitStream::holds) and otherwise replaces it; a resident checks for
@@ -61,8 +63,10 @@
 /// stream. The parent alone decides what may run — pending order, retries,
 /// the starvation-guard drain, the parallelism downgrade and the
 /// dispatch-time fault all act on what it publishes; it keeps a constant
-/// number of entries open per live resident, and retracts open entries a
-/// requeued older chunk must overtake. A resident claims an entry with one
+/// number of entries open per live resident, opens none while a resident
+/// it forked has not yet announced itself (so the residents forked
+/// together start together), and retracts open entries a requeued older
+/// chunk must overtake. A resident claims an entry with one
 /// compare-and-swap that names its slot and attempt tag, reads the
 /// published commit count (its snapshot), catches up from the stream, runs
 /// the chunk, publishes the record, counts it in its slot's
@@ -84,13 +88,16 @@
 /// requeues those chunks. A record the parent rejects retires its resident
 /// (its claim gate closes, then Kill), and its later claims requeue
 /// uncharged: the ring's framing after a bad record is not trusted. Its
-/// successor is forked at once but fenced — its gate opens once the
-/// predecessor's reap doorbell proves the ring holds no more of its bytes.
-/// The template forks a slot's first resident and replacements after a
-/// crash, a retirement, a stream overrun or a template refresh.
+/// successor is forked once the predecessor's reap doorbell proves the
+/// ring holds no more of its bytes. The template forks a slot's first
+/// resident and replacements after a crash, a retirement, a stream overrun
+/// or a template refresh. A resident announces itself in the queue before
+/// it claims anything; one the template reaps before that was never really
+/// forked: a fork failure, and its slot runs cold children until one of
+/// them forks.
 ///
-/// Every pool failure (template spawn failure, dead template, injected
-/// TemplatePoison) degrades the affected forks to the legacy cold
+/// Every pool failure (template spawn failure, a resident's failed fork,
+/// dead template, injected TemplatePoison) degrades the affected forks to the legacy cold
 /// pipe+fork path — never to a chunk failure. The pool respawns on the
 /// next warm fork; a respawn forks from the parent, whose memory IS
 /// committed state, so it starts at the stream's end. A template that
@@ -252,19 +259,31 @@ public:
   /// Where a slot's resident stands after ensureResident.
   enum class ResidentState : uint8_t {
     None,     ///< no resident, and none could be forked: run the slot cold
-    Live,     ///< a resident is up (forked now or earlier)
+    Live,     ///< a resident was forked (now or earlier)
     Retiring, ///< the resident's record was rejected and it is being killed
   };
 
   /// Keeps a live resident in \p Slot, forking one from the template (with
-  /// its arena cursor advanced to \p BumpFloor) when the slot has none or
-  /// its resident is being retired. A lapped template is refreshed first
-  /// when no other resident holds a claim, else the slot runs cold for now
-  /// (a pool fault). Returns Live or None.
+  /// its arena cursor advanced to \p BumpFloor) when the slot has none. A
+  /// lapped template is refreshed first when no other resident holds a
+  /// claim, else the slot runs cold for now (a pool fault). After a
+  /// resident of the slot was reaped before it announced itself (a failed
+  /// fork in the template, counted in NumForkFailures and PoolFaults), the
+  /// slot runs cold until coldForked(). Returns Live, Retiring (run nothing
+  /// there until the template has reaped it) or None.
   ResidentState ensureResident(unsigned Slot, uint64_t BumpFloor);
+
+  /// A cold child of \p Slot was forked: its next ensureResident may fork
+  /// a resident again.
+  void coldForked(unsigned Slot);
 
   bool residentLive(unsigned Slot) const {
     return Slots[Slot].Resident == ResidentState::Live;
+  }
+  /// The slot's live resident has announced itself (it is counted as a
+  /// warm fork from then on).
+  bool residentUp(unsigned Slot) const {
+    return residentLive(Slot) && Slots[Slot].Up;
   }
 
   /// Doorbell descriptor to poll for \p Slot's resident, or -1.
@@ -275,7 +294,8 @@ public:
   /// record now whole in a ring, and the claims of residents that died.
   /// \p OnEvent returns false for a Report the parent rejected: the pool
   /// retires that resident and reports its later claims Lost. Returns the
-  /// number of events delivered.
+  /// number of events delivered plus the residents that announced
+  /// themselves since the last call: zero means nothing changed.
   size_t collect(const std::vector<bool> &Readable,
                  const std::function<bool(ResidentEvent &)> &OnEvent);
 
@@ -355,10 +375,9 @@ private:
     bool RecordDone = true;   // last occupant's record arrived whole
     // Resident slots only.
     ResidentState Resident = ResidentState::None;
-    bool Fenced = false;     // spawned while its predecessor was dying
-    bool FenceDown = false;  // ... and the predecessor's reap bell came
-    uint8_t FenceTag = 0;    // the predecessor's attempt tag
-    bool Claimed = false;    // the resident has claimed its first chunk
+    bool Up = false;          // the resident announced itself
+    bool SpawnFailed = false; // the last one never did: run the slot cold
+    bool Claimed = false;     // the resident has claimed its first chunk
     bool Terminal = false;   // its terminal doorbell arrived
     bool Abnormal = false;   // ... and said it died abnormally
     uint64_t Published = 0;  // records it has published whole

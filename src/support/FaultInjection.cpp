@@ -47,6 +47,8 @@ bool parseKind(const std::string &Name, FaultKind &Kind) {
     Kind = FaultKind::SignalStorm;
   else if (Name == "parentkill")
     Kind = FaultKind::ParentKill;
+  else if (Name == "spawnfail")
+    Kind = FaultKind::SpawnFail;
   else
     return false;
   return true;
@@ -70,7 +72,8 @@ bool parseUint(const std::string &Text, uint64_t &Value) {
 /// A FaultPoint whose target is a setup resource (worker-slot index), not a
 /// chunk of work; the ordinary fork-time take() must never consume it.
 bool isSetupKind(FaultKind Kind) {
-  return Kind == FaultKind::MmapFail || Kind == FaultKind::PipeExhaust;
+  return Kind == FaultKind::MmapFail || Kind == FaultKind::PipeExhaust ||
+         Kind == FaultKind::SpawnFail;
 }
 
 } // namespace
@@ -101,6 +104,8 @@ const char *alter::faultKindName(FaultKind Kind) {
     return "sigstorm";
   case FaultKind::ParentKill:
     return "parentkill";
+  case FaultKind::SpawnFail:
+    return "spawnfail";
   }
   ALTER_UNREACHABLE("covered switch");
 }
@@ -117,7 +122,7 @@ FaultPlan::FaultPlan() : Seed(DefaultSeed), StallNs(DefaultStallNs) {
                      "kind@iN! | seed=N | stallms=N, comma/semicolon "
                      "separated; kinds: forkfail crash kill truncate "
                      "bitflip stall poison qflip mmapfail pipeexhaust "
-                     "sigstorm parentkill\"",
+                     "sigstorm parentkill spawnfail\"",
                      LoadError.c_str());
     }
   }

@@ -35,6 +35,9 @@
 ///                  stage worker) degrades instead of aborting.
 ///  - PipeExhaust:  the pipe() setup for worker slot N fails (as under
 ///                  EMFILE). Also a takeSetup-consumed setup fault.
+///  - SpawnFail:    the warm template's fork of worker slot N's resident
+///                  child fails (as under EAGAIN); a setup fault too,
+///                  consumed each time the pool forks that slot's resident.
 ///  - SignalStorm:  a shutdown signal (SIGTERM) is delivered to the parent
 ///                  when chunk N is about to fork; the run winds down to a
 ///                  valid Interrupted result with every child reaped.
@@ -88,11 +91,15 @@ enum class FaultKind : uint8_t {
   /// target kills the process outright — no handler runs, simulating an
   /// OOM-kill or operator kill of the parent for crash-restart testing.
   ParentKill,
+  /// The warm template's fork of worker slot N's resident child fails (as
+  /// under EAGAIN). A takeSetup-consumed setup fault, struck each time the
+  /// pool forks a resident for the slot.
+  SpawnFail,
 };
 
 /// Returns "forkfail", "crash", "kill", "truncate", "bitflip", "stall",
-/// "poison", "qflip", "mmapfail", "pipeexhaust", "sigstorm", or
-/// "parentkill".
+/// "poison", "qflip", "mmapfail", "pipeexhaust", "sigstorm", "parentkill",
+/// or "spawnfail".
 const char *faultKindName(FaultKind Kind);
 
 /// One armed fault: strikes execution attempts of chunk \p Target (or, when
@@ -168,7 +175,7 @@ public:
   /// \p Chunk and iteration-targeted points against the half-open range
   /// [FirstIter, LastIter) the fork covers. At most one point is consumed
   /// per call (first match in arming order). Setup faults (MmapFail,
-  /// PipeExhaust) are never matched here — their targets are worker-slot
+  /// PipeExhaust, SpawnFail) are never matched here — their targets are worker-slot
   /// indices, consumed by takeSetup at resource-creation time.
   ArmedFault take(int64_t Chunk, int64_t FirstIter, int64_t LastIter);
 

@@ -1171,47 +1171,52 @@ TEST(ShutdownTest, SignalStormInterruptsChunkedEnginesWithoutOrphans) {
   // engine stops dispatching, kills and reaps everything in flight, and
   // returns Interrupted. The recovery ladder must NOT try to finish the
   // loop — an interrupt is a command to stop, not a fault to heal — and
-  // the chunks that did commit must hold their sequential values.
+  // the chunks that did commit must hold their sequential values. A sticky
+  // storm strikes every dispatch attempt of chunk 2 and must not keep the
+  // engine re-trying it instead of winding down.
   for (ParallelEngine Engine :
        {ParallelEngine::ForkJoin, ParallelEngine::Pipeline}) {
     for (TransportKind Transport :
          {TransportKind::Pipe, TransportKind::Ring}) {
-      SCOPED_TRACE(std::string(engineName(Engine)) + "/" +
-                   transportKindName(Transport));
-      clearShutdownRequest();
-      FaultPlan::global().clear();
-      FaultPlan::global().arm(FaultKind::SignalStorm, /*Chunk=*/2);
-      constexpr int64_t N = 24;
-      constexpr int64_t Cf = 4;
-      std::vector<int64_t> Data(N, -1);
-      LoopSpec Spec;
-      Spec.NumIterations = N;
-      Spec.Body = [&Data](TxnContext &Ctx, int64_t I) {
-        Ctx.store(&Data[static_cast<size_t>(I)], I * 3 + 1);
-      };
-      ExecutorConfig Config;
-      Config.NumWorkers = 2;
-      Config.Params.ChunkFactor = Cf;
-      Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
-      Config.Transport = Transport;
-      RecoveringLoopRunner Runner(Engine, Config);
-      EXPECT_FALSE(Runner.runInner(Spec))
-          << "an interrupted loop must stop the workload";
-      const RunResult &R = Runner.result();
-      EXPECT_EQ(R.Status, RunStatus::Interrupted) << R.Detail;
-      EXPECT_NE(R.Detail.find("interrupted"), std::string::npos) << R.Detail;
-      EXPECT_EQ(R.Stats.RecoveredIterations, 0u)
-          << "the ladder must not finish an interrupted loop";
-      EXPECT_EQ(R.Stats.QuarantinedIterations, 0u);
-      EXPECT_TRUE(shutdownRequested());
-      EXPECT_EQ(liveChildrenOfSelf(), "") << "no child may be orphaned";
-      // Committed chunks are real commits: their memory is sequential.
-      for (int64_t C : R.CommitOrder)
-        for (int64_t I = C * Cf; I != std::min<int64_t>((C + 1) * Cf, N); ++I)
-          EXPECT_EQ(Data[static_cast<size_t>(I)], I * 3 + 1)
-              << "committed chunk " << C << " iteration " << I;
-      clearShutdownRequest();
-      FaultPlan::global().clear();
+      for (bool Sticky : {false, true}) {
+        SCOPED_TRACE(std::string(engineName(Engine)) + "/" +
+                     transportKindName(Transport) +
+                     (Sticky ? "/sticky" : ""));
+        clearShutdownRequest();
+        FaultPlan::global().clear();
+        FaultPlan::global().arm(FaultKind::SignalStorm, /*Chunk=*/2, Sticky);
+        constexpr int64_t N = 24;
+        constexpr int64_t Cf = 4;
+        std::vector<int64_t> Data(N, -1);
+        LoopSpec Spec;
+        Spec.NumIterations = N;
+        Spec.Body = [&Data](TxnContext &Ctx, int64_t I) {
+          Ctx.store(&Data[static_cast<size_t>(I)], I * 3 + 1);
+        };
+        ExecutorConfig Config;
+        Config.NumWorkers = 2;
+        Config.Params.ChunkFactor = Cf;
+        Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
+        Config.Transport = Transport;
+        RecoveringLoopRunner Runner(Engine, Config);
+        EXPECT_FALSE(Runner.runInner(Spec))
+            << "an interrupted loop must stop the workload";
+        const RunResult &R = Runner.result();
+        EXPECT_EQ(R.Status, RunStatus::Interrupted) << R.Detail;
+        EXPECT_NE(R.Detail.find("interrupted"), std::string::npos) << R.Detail;
+        EXPECT_EQ(R.Stats.RecoveredIterations, 0u)
+            << "the ladder must not finish an interrupted loop";
+        EXPECT_EQ(R.Stats.QuarantinedIterations, 0u);
+        EXPECT_TRUE(shutdownRequested());
+        EXPECT_EQ(liveChildrenOfSelf(), "") << "no child may be orphaned";
+        // Committed chunks are real commits: their memory is sequential.
+        for (int64_t C : R.CommitOrder)
+          for (int64_t I = C * Cf; I != std::min<int64_t>((C + 1) * Cf, N); ++I)
+            EXPECT_EQ(Data[static_cast<size_t>(I)], I * 3 + 1)
+                << "committed chunk " << C << " iteration " << I;
+        clearShutdownRequest();
+        FaultPlan::global().clear();
+      }
     }
   }
 }
