@@ -672,8 +672,9 @@ void WorkerPool::loseAllResidents() {
   }
 }
 
-size_t WorkerPool::collect(const std::vector<bool> &Readable,
-                           const std::function<bool(ResidentEvent &)> &OnEvent) {
+size_t
+WorkerPool::collect(const std::vector<bool> &Readable,
+                    const std::function<bool(ResidentEvent &)> &OnEvent) {
   size_t Delivered = 0;
   // Doorbells, then ring bytes, then claims: a bell read here vouches for
   // every record byte its sender published before it, and a record byte

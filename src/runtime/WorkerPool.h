@@ -97,12 +97,13 @@
 /// them forks.
 ///
 /// Every pool failure (template spawn failure, a resident's failed fork,
-/// dead template, injected TemplatePoison) degrades the affected forks to the legacy cold
-/// pipe+fork path — never to a chunk failure. The pool respawns on the
-/// next warm fork; a respawn forks from the parent, whose memory IS
-/// committed state, so it starts at the stream's end. A template that
-/// dies while no command is being written is noticed through
-/// livenessFd(), which the engines poll alongside their chunk channels.
+/// dead template, injected TemplatePoison) degrades the affected forks to
+/// the legacy cold pipe+fork path — never to a chunk failure. The pool
+/// respawns on the next warm fork; a respawn forks from the parent, whose
+/// memory IS committed state, so it starts at the stream's end. A
+/// template that dies while no command is being written is noticed
+/// through livenessFd(), which the engines poll alongside their chunk
+/// channels.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -175,8 +175,8 @@ public:
   /// \p Chunk and iteration-targeted points against the half-open range
   /// [FirstIter, LastIter) the fork covers. At most one point is consumed
   /// per call (first match in arming order). Setup faults (MmapFail,
-  /// PipeExhaust, SpawnFail) are never matched here — their targets are worker-slot
-  /// indices, consumed by takeSetup at resource-creation time.
+  /// PipeExhaust, SpawnFail) are never matched here — their targets are
+  /// worker-slot indices, consumed by takeSetup at resource-creation time.
   ArmedFault take(int64_t Chunk, int64_t FirstIter, int64_t LastIter);
 
   /// Setup-time consumption point: matches only points of exactly \p Kind

@@ -416,17 +416,18 @@ TEST(FaultPlanTest, MalformedPlansAreStructuredErrors) {
 }
 
 TEST(FaultPlanTest, SetupFaultsAreInvisibleToForkTimeTake) {
-  // MmapFail/PipeExhaust target worker-slot indices, not chunks: the
-  // fork-time consumption points must skip them entirely (a slot index
-  // numerically equal to a chunk index is a coincidence, not a match), and
-  // takeSetup must match only its exact kind and slot.
+  // MmapFail/PipeExhaust/SpawnFail target worker-slot indices, not
+  // chunks: the fork-time consumption points must skip them entirely (a
+  // slot index numerically equal to a chunk index is a coincidence, not a
+  // match), and takeSetup must match only its exact kind and slot.
   FaultPlan &Plan = FaultPlan::global();
   Plan.clear();
   Plan.arm(FaultKind::MmapFail, /*Chunk=*/1);
   Plan.arm(FaultKind::PipeExhaust, /*Chunk=*/1);
+  ASSERT_TRUE(Plan.parse("spawnfail@1"));
   EXPECT_FALSE(Plan.take(1).Armed);
   EXPECT_FALSE(Plan.take(1, 0, 100).Armed);
-  EXPECT_EQ(Plan.pendingCount(), 2u)
+  EXPECT_EQ(Plan.pendingCount(), 3u)
       << "fork-time take must not consume setup faults";
   EXPECT_FALSE(Plan.takeSetup(FaultKind::MmapFail, 0).Armed) << "wrong slot";
   EXPECT_FALSE(Plan.takeSetup(FaultKind::ChildKill, 1).Armed)
@@ -437,6 +438,7 @@ TEST(FaultPlanTest, SetupFaultsAreInvisibleToForkTimeTake) {
   EXPECT_FALSE(Plan.takeSetup(FaultKind::MmapFail, 1).Armed)
       << "one-shot setup faults are consumed";
   EXPECT_TRUE(Plan.takeSetup(FaultKind::PipeExhaust, 1).Armed);
+  EXPECT_TRUE(Plan.takeSetup(FaultKind::SpawnFail, 1).Armed);
   EXPECT_EQ(Plan.pendingCount(), 0u);
   Plan.clear();
 }
